@@ -219,10 +219,7 @@ def main(argv=None) -> int:
     except DomainError as err:
         print("error[domain]: %s" % err, file=sys.stderr)
         return 2
-    except json.JSONDecodeError as err:
-        print("error[input]: %s" % err, file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as err:
         print("error[input]: %s" % err, file=sys.stderr)
         return 2
 

@@ -484,13 +484,19 @@ def finite_from_json(obj) -> FiniteGroupoid:
     for entry in comps:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise DomainError("component %r is not a [k, a] pair" % (entry,))
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in entry):
+            raise DomainError("component %r must hold two integers" % (entry,))
         parsed.append((entry[0], entry[1]))
     return FiniteGroupoid(parsed)
 
 
 def groupoid_from_json(obj) -> "FiniteGroupoid | GradedGroupoid":
     """Parse either a plain {"components": ...} or a {"pos":, "neg":} pair."""
-    if isinstance(obj, dict) and "pos" in obj and "neg" in obj:
+    if isinstance(obj, dict) and ("pos" in obj or "neg" in obj):
+        if "pos" not in obj or "neg" not in obj or "components" in obj:
+            raise DomainError(
+                "graded groupoid JSON needs both \"pos\" and \"neg\" and no \"components\""
+            )
         return GradedGroupoid(finite_from_json(obj["pos"]), finite_from_json(obj["neg"]))
     return finite_from_json(obj)
 

@@ -123,28 +123,33 @@ def bernoulli_formula(count: int) -> NumberTable:
         B_n = sum over compositions (a_1..a_k) of n of
               (-1)^k n! / ((a_1+1)! ... (a_k+1)!).
 
-    Terms are grouped by denominator so the 2^(n-1) summands stay integer
-    bookkeeping until the end.
+    The sum is taken by dynamic programming over the remaining size rather
+    than by listing the compositions.  groups[m] maps each denominator
+    (a_1+1)! ... (a_k+1)! to the signed count (-1)^k of compositions of m
+    that produce it, starting from groups[0] = {1: +1}.  Splitting off the
+    first part a gives groups[m] from groups[m-a] for a = 1..m, with the key
+    multiplied by (a+1)! and the sign flipped.  Every row is reused by all
+    larger sizes, so the table costs a polynomial number of integer
+    multiply-adds.  B_n is n! times the sum of c/d over groups[n], taken
+    over the least common denominator.
     """
     if count > COMPOSITION_CAP:
         raise EnumerationLimitError(
             "composition formula: n=%d exceeds cap %d" % (count, COMPOSITION_CAP)
         )
     fact = [math.factorial(i + 1) for i in range(count + 2)]
+    groups: list[dict[int, int]] = [{1: 1}]
     values = [Fraction(1)]
     for n in range(1, count + 1):
-        groups: dict[int, int] = {}
-
-        def rec(remaining: int, denom: int, sign: int) -> None:
-            if remaining == 0:
-                groups[denom] = groups.get(denom, 0) + sign
-                return
-            for first in range(remaining, 0, -1):
-                rec(remaining - first, denom * fact[first], -sign)
-
-        rec(n, 1, 1)
-        nf = math.factorial(n)
-        values.append(sum(Fraction(nf * c, d) for d, c in sorted(groups.items())))
+        row: dict[int, int] = {}
+        for first in range(1, n + 1):
+            for denom, c in groups[n - first].items():
+                key = denom * fact[first]
+                row[key] = row.get(key, 0) - c
+        groups.append(row)
+        common = math.lcm(*row)
+        total = sum(c * (common // d) for d, c in row.items())
+        values.append(Fraction(math.factorial(n) * total, common))
     return NumberTable("bernoulli", "formula", tuple(values))
 
 

@@ -78,6 +78,40 @@ def test_card_bad_components(capsys, tmp_path):
     assert err.startswith("error[domain]:")
 
 
+@pytest.mark.parametrize("component", [[1.5, 2], [True, 1], ["1", 2]])
+def test_card_rejects_non_integer_components(capsys, tmp_path, component):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"components": [component]}))
+    code, out, err = run(capsys, "card", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error[domain]:")
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"pos": {"components": [[1, 1]]}},
+        {"neg": {"components": [[1, 1]]}},
+        {"components": [[1, 1]], "neg": {"components": [[1, 2]]}},
+        {"components": [[1, 1]], "pos": {"components": [[1, 1]]}, "neg": {"components": []}},
+    ],
+)
+def test_card_rejects_half_graded_pair(capsys, tmp_path, obj):
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "card", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error[domain]:")
+
+
+def test_card_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "card", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error[input]:")
+
+
 def test_egf_json_default_order(capsys):
     code, out, _ = run(capsys, "egf", "Exp")
     assert code == 0

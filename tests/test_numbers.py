@@ -23,7 +23,7 @@ from qspecies.numbers import (
     generalized_bernoulli_series,
     generalized_bernoulli_species,
 )
-from qspecies.numeric import DomainError, EnumerationLimitError
+from qspecies.numeric import DomainError, EnumerationLimitError, enumerate_compositions
 
 # classical first-kind values, frozen
 BERNOULLI_HEAD = [
@@ -71,10 +71,25 @@ def test_recurrence_b20():
 
 
 def test_formula_matches_recurrence():
-    a = bernoulli_formula(14)
-    b = bernoulli_recurrence(14)
-    assert a.matches(b)
-    assert a.route == "formula" and b.route == "oracle"
+    for count in (14, 25):
+        a = bernoulli_formula(count)
+        b = bernoulli_recurrence(count)
+        assert a.matches(b)
+        assert a.route == "formula" and b.route == "oracle"
+
+
+def test_formula_matches_composition_enumeration():
+    # the literal sum over every composition, independent of the grouped sum
+    values = bernoulli_formula(16).values
+    for n in range(1, 17):
+        literal = sum(
+            Fraction(
+                (-1) ** len(parts) * math.factorial(n),
+                math.prod(math.factorial(a + 1) for a in parts),
+            )
+            for parts in enumerate_compositions(n)
+        )
+        assert values[n] == literal
 
 
 def test_formula_cap():
