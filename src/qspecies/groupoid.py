@@ -314,17 +314,55 @@ def _identity(degree: int) -> tuple[int, ...]:
     return tuple(range(1, degree + 1))
 
 
-def _compose_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # apply q first, then p
-    return tuple(p[q[i] - 1] for i in range(len(p)))
+def _closure(
+    degree: int,
+    generators: Sequence[tuple[int, ...]],
+    cap: int,
+    within: "set[tuple[int, ...]] | None" = None,
+) -> set[tuple[int, ...]]:
+    """The group generated by permutations of 1..degree, by breadth-first closure.
+
+    Starting from the identity, every element found is composed on the left
+    with every generator until nothing new appears; for a finite set of
+    permutations that is the generated group.  Raises DomainError as soon as
+    an element falls outside ``within`` (when given), and EnumerationLimitError
+    when the closure grows past ``cap`` elements.
+    """
+    # (0,) + g maps each 1-based point to its image, so mapping p through it
+    # gives g after p
+    lookups = [(0,) + g for g in generators]
+    seen = {_identity(degree)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for look in lookups:
+                q = tuple(map(look.__getitem__, p))
+                if q not in seen:
+                    if within is not None and q not in within:
+                        raise DomainError("element list is not closed under composition")
+                    seen.add(q)
+                    nxt.append(q)
+                    if len(seen) > cap:
+                        raise EnumerationLimitError("group closure exceeds cap %d" % cap)
+        frontier = nxt
+    return seen
 
 
 class GroupAction:
     """A permutation group acting on {1..degree}.
 
     Elements are 1-based image tuples.  Construction validates that the set
-    contains the identity and is closed under composition and inverses, so it
-    really is a group; the order must divide degree!.
+    contains the identity, that its order divides degree!, and that it is
+    closed under composition, through a generating set picked greedily: the
+    sorted elements are walked, each one not yet in the subgroup generated so
+    far becomes a generator, and the closure is recomputed; the set is
+    rejected as soon as a closure leaves it.  Every added generator at least
+    doubles the subgroup, so there are at most log2|G| generators; as the
+    closures grow geometrically, the check costs O(|G| log|G|) compositions
+    instead of the |G|^2 of a pairwise test.  Inverses need no separate
+    check: a finite set of permutations closed under composition contains the
+    powers of each element, and one of them is its inverse.
     """
 
     __slots__ = ("degree", "elements")
@@ -342,17 +380,15 @@ class GroupAction:
         eset = set(elems)
         if _identity(degree) not in eset:
             raise DomainError("element list lacks the identity permutation")
-        for p in elems:
-            inv = [0] * degree
-            for i, v in enumerate(p):
-                inv[v - 1] = i + 1
-            if tuple(inv) not in eset:
-                raise DomainError("element list is not closed under inverse")
-            for q in elems:
-                if _compose_perm(p, q) not in eset:
-                    raise DomainError("element list is not closed under composition")
         if math.factorial(degree) % len(elems):
             raise DomainError("group order %d does not divide %d!" % (len(elems), degree))
+        gens: list[tuple[int, ...]] = []
+        group = {_identity(degree)}
+        for p in elems:
+            if p not in group:
+                gens.append(p)
+                # the cap cannot trip: the closure stays inside eset or raises first
+                group = _closure(degree, gens, len(eset), within=eset)
         self.degree = degree
         self.elements = tuple(elems)
 
@@ -362,22 +398,11 @@ class GroupAction:
     ) -> "GroupAction":
         """Close a generator list under composition (breadth-first)."""
         gens = [tuple(int(v) for v in p) for p in generators]
-        seen = {_identity(degree)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in gens:
-                    q = _compose_perm(g, p)
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-                        if len(seen) > cap:
-                            raise EnumerationLimitError(
-                                "group closure exceeds cap %d" % cap
-                            )
-            frontier = nxt
-        return cls(degree, seen)
+        base = list(range(1, degree + 1))
+        for g in gens:
+            if sorted(g) != base:
+                raise DomainError("generator %r is not a permutation of 1..%d" % (g, degree))
+        return cls(degree, _closure(degree, gens, cap))
 
     @classmethod
     def symmetric(cls, degree: int) -> "GroupAction":

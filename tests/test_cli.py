@@ -168,6 +168,14 @@ def test_egf_binpow_expression(capsys):
     assert out == "size,coefficient\n0,1/1\n1,-1/2\n2,3/4\n3,-15/8\n"
 
 
+def test_egf_psym7(capsys):
+    # k-multisets at k = 7 count n^7/7!; S7 (5040 elements) is built and
+    # validated once, which must not stall
+    code, out, _ = run(capsys, "egf", "PSym(7)", "--order", "2", "--format", "csv")
+    assert code == 0
+    assert out == "size,coefficient\n0,0/1\n1,1/5040\n2,8/315\n"
+
+
 def test_egf_parse_error(capsys):
     code, _, err = run(capsys, "egf", "sum(Exp,")
     assert code == 2

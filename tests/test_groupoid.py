@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -157,6 +158,23 @@ def test_named_groupoid():
         named_groupoid("cyclic", 0)
 
 
+def _is_group_pairwise(degree, elements):
+    """Reference check: identity, inverses and every pairwise product inside."""
+    eset = set(elements)
+    if tuple(range(1, degree + 1)) not in eset:
+        return False
+    for p in eset:
+        inv = [0] * degree
+        for i, v in enumerate(p):
+            inv[v - 1] = i + 1
+        if tuple(inv) not in eset:
+            return False
+        for q in eset:
+            if tuple(p[q[i] - 1] for i in range(degree)) not in eset:
+                return False
+    return True
+
+
 def test_group_action_validation():
     with pytest.raises(DomainError):
         GroupAction(2, [(2, 1)])  # missing identity
@@ -164,8 +182,40 @@ def test_group_action_validation():
         GroupAction(2, [(1, 1)])  # not a permutation
     with pytest.raises(DomainError):
         GroupAction(3, [(1, 2, 3), (2, 3, 1)])  # not closed
+    with pytest.raises(DomainError):
+        GroupAction(3, [(1, 2, 3), (2, 1, 3), (1, 3, 2)])  # order 3 but not closed
+    with pytest.raises(DomainError):
+        GroupAction(4, [(1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3), (3, 4, 1, 2)])
+    with pytest.raises(DomainError):
+        GroupAction(4, [(1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2)])  # lacks an inverse
     g = GroupAction(3, [(1, 2, 3), (2, 3, 1), (3, 1, 2)])
     assert len(g) == 3
+    # every subgroup of S4 (all are 2-generated, so the closures of all pairs
+    # give the 30 of them); each must be accepted, and each set with one
+    # non-identity element removed or one outside permutation added must be
+    # rejected exactly when the pairwise reference says it is not a group
+    identity = (1, 2, 3, 4)
+    everything = set(itertools.permutations(identity))
+    subgroups = {
+        frozenset(GroupAction.from_generators(4, pair).elements)
+        for pair in itertools.combinations_with_replacement(sorted(everything), 2)
+    }
+    assert len(subgroups) == 30
+    outcomes = set()
+    for elems in subgroups:
+        assert _is_group_pairwise(4, elems)
+        assert set(GroupAction(4, elems).elements) == elems
+        variants = [elems - {p} for p in elems - {identity}]
+        variants += [elems | {p} for p in everything - elems]
+        for variant in variants:
+            expected = _is_group_pairwise(4, variant)
+            outcomes.add(expected)
+            if expected:
+                assert set(GroupAction(4, variant).elements) == variant
+            else:
+                with pytest.raises(DomainError):
+                    GroupAction(4, variant)
+    assert outcomes == {True, False}
 
 
 def test_group_action_from_generators():
@@ -175,6 +225,10 @@ def test_group_action_from_generators():
     c4 = GroupAction.from_generators(4, [(2, 3, 4, 1)])
     assert len(c4) == 4
     assert c4.elements == GroupAction.cyclic(4).elements
+    with pytest.raises(DomainError):
+        GroupAction.from_generators(3, [(2, 1, 3, 4)])  # longer than the degree
+    with pytest.raises(DomainError):
+        GroupAction.from_generators(3, [(2, 2, 3)])  # not a permutation
 
 
 def test_group_action_closure_cap():
