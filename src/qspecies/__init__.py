@@ -11,14 +11,12 @@ purely combinatorial means, cross-checked against series arithmetic.
 from .numeric import (
     DomainError,
     EnumerationLimitError,
-    Rational,
     enumerate_compositions,
     enumerate_set_partitions,
     format_rational,
     multinomial,
     parse_rational,
     rat,
-    rat_arith,
 )
 from .groupoid import (
     Component,
@@ -30,7 +28,6 @@ from .groupoid import (
     discrete,
     group_of_order,
     increasing_factorial,
-    named_groupoid,
     power_quotient,
     quotient,
 )
@@ -55,9 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError",
     "EnumerationLimitError",
-    "Rational",
     "rat",
-    "rat_arith",
     "format_rational",
     "parse_rational",
     "multinomial",
@@ -71,7 +66,6 @@ __all__ = [
     "discrete",
     "cyclic",
     "group_of_order",
-    "named_groupoid",
     "quotient",
     "power_quotient",
     "increasing_factorial",

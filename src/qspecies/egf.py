@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .numeric import DomainError, binom_product, format_rational, parse_rational
+from .numeric import DomainError, binom_product, format_rational
 
 __all__ = [
     "TruncatedEGF",
@@ -32,7 +32,6 @@ __all__ = [
     "binomial_series",
     "diagonal_series",
     "promote_series",
-    "series_from_json",
 ]
 
 DEFAULT_ORDER = 20
@@ -386,24 +385,6 @@ def promote_series(f: TruncatedEGF, i: int) -> TruncatedEGF:
     for (n,), c in f._coeffs.items():
         out[(n, 0) if i == 1 else (0, n)] = c
     return TruncatedEGF(2, f.order, out)
-
-
-def series_from_json(obj) -> TruncatedEGF:
-    if not isinstance(obj, dict):
-        raise DomainError("series JSON must be an object")
-    try:
-        nvars = int(obj["vars"])
-        order = int(obj["order"])
-        pairs = obj["coefficients"]
-    except (KeyError, TypeError, ValueError):
-        raise DomainError("series JSON needs vars, order, coefficients") from None
-    coeffs = {}
-    for entry in pairs:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise DomainError("coefficient entry %r is not a pair" % (entry,))
-        key = tuple(int(part) for part in str(entry[0]).split(","))
-        coeffs[key] = parse_rational(entry[1])
-    return TruncatedEGF(nvars, order, coeffs)
 
 
 class Polynomial:

@@ -35,14 +35,11 @@ __all__ = [
     "discrete",
     "cyclic",
     "group_of_order",
-    "symmetric_power",
-    "named_groupoid",
     "quotient",
     "power_quotient",
     "increasing_factorial",
     "finite_from_json",
     "groupoid_from_json",
-    "action_from_json",
 ]
 
 POWER_QUOTIENT_CAP = 100_000
@@ -120,8 +117,14 @@ class FiniteGroupoid:
 
     @staticmethod
     def union_all(items: Iterable["FiniteGroupoid"]) -> "FiniteGroupoid":
+        """Disjoint union of all items; a sole nonempty item comes back as is."""
+        nonempty = [g for g in items if g._parts]
+        if not nonempty:
+            return EMPTY
+        if len(nonempty) == 1:
+            return nonempty[0]
         acc: dict[Component, int] = {}
-        for g in items:
+        for g in nonempty:
             for comp, count in g._parts:
                 acc[comp] = acc.get(comp, 0) + count
         return FiniteGroupoid.from_counts(acc)
@@ -285,29 +288,6 @@ def group_of_order(a: int) -> FiniteGroupoid:
     if a < 1:
         raise DomainError("group order must be positive")
     return FiniteGroupoid([(1, a)])
-
-
-def symmetric_power(n: int, power: int) -> FiniteGroupoid:
-    """One object with automorphism group of order (n!)**power."""
-    if n < 0 or power < 0:
-        raise DomainError("symmetric power needs nonnegative parameters")
-    return FiniteGroupoid([(1, math.factorial(n) ** power)])
-
-
-def named_groupoid(name: str, *params: int) -> FiniteGroupoid:
-    """Construct a groupoid by name: discrete, cyclic, group, symmetric_power."""
-    table = {
-        "discrete": (1, discrete),
-        "cyclic": (1, cyclic),
-        "group": (1, group_of_order),
-        "symmetric_power": (2, symmetric_power),
-    }
-    if name not in table:
-        raise DomainError("unknown groupoid name %r" % name)
-    arity, builder = table[name]
-    if len(params) != arity:
-        raise DomainError("%s expects %d parameter(s), got %d" % (name, arity, len(params)))
-    return builder(*params)
 
 
 def _identity(degree: int) -> tuple[int, ...]:
@@ -525,16 +505,3 @@ def groupoid_from_json(obj) -> "FiniteGroupoid | GradedGroupoid":
         return GradedGroupoid(finite_from_json(obj["pos"]), finite_from_json(obj["neg"]))
     return finite_from_json(obj)
 
-
-def action_from_json(obj) -> GroupAction:
-    """Parse {"degree": m, "elements": [...]} or {"degree": m, "generators": [...]}."""
-    if not isinstance(obj, dict) or "degree" not in obj:
-        raise DomainError("action JSON needs a \"degree\" field")
-    degree = obj["degree"]
-    if not isinstance(degree, int):
-        raise DomainError("\"degree\" must be an integer")
-    if "elements" in obj:
-        return GroupAction(degree, obj["elements"])
-    if "generators" in obj:
-        return GroupAction.from_generators(degree, obj["generators"])
-    raise DomainError("action JSON needs \"elements\" or \"generators\"")

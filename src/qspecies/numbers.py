@@ -102,6 +102,19 @@ def _coefficients(series: TruncatedEGF, count: int) -> tuple[Fraction, ...]:
     return tuple(series.coefficient((n,)) for n in range(count + 1))
 
 
+def _row_polynomials(two: Species, count: int) -> tuple[Polynomial, ...]:
+    """Rows 0..count of a two-sort table f(xy) * g(y): row n is the sum of
+    |two(a, n)| x^a / a! over a <= n.
+
+    The diagonal factor takes one label of each sort per pair, so two(a, n)
+    is empty for a > n and only the triangle a <= n <= count is evaluated.
+    """
+    return tuple(
+        Polynomial([two.cardinality_at((a, n)) / math.factorial(a) for a in range(n + 1)])
+        for n in range(count + 1)
+    )
+
+
 # -- Bernoulli numbers -----------------------------------------------------
 
 
@@ -225,11 +238,8 @@ def bernoulli_poly_species(count: int, level: int = 1) -> PolynomialTable:
     """Diagonal substitution of the exponential times the promoted inverse."""
     inverse = _generalized_inverse_species(exp_species(), level)
     two = substitute_xy(exp_species()) * promote(inverse, 2)
-    table = egf_of(two, 2 * count)
     return PolynomialTable(
-        _kind("bernoulli-polynomials", level),
-        "species",
-        tuple(table.extract_polynomials()[: count + 1]),
+        _kind("bernoulli-polynomials", level), "species", _row_polynomials(two, count)
     )
 
 
@@ -283,10 +293,7 @@ def euler_series(count: int) -> NumberTable:
 
 def euler_poly_species(count: int) -> PolynomialTable:
     two = substitute_xy(exp_species()) * promote(_euler_inverse_species(), 2)
-    table = egf_of(two, 2 * count)
-    return PolynomialTable(
-        "euler-polynomials", "species", tuple(table.extract_polynomials()[: count + 1])
-    )
+    return PolynomialTable("euler-polynomials", "species", _row_polynomials(two, count))
 
 
 def euler_poly_series(count: int) -> PolynomialTable:

@@ -11,13 +11,11 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 __all__ = [
-    "Rational",
     "DomainError",
     "EnumerationLimitError",
     "COMPOSITION_CAP",
     "PARTITION_CAP",
     "rat",
-    "rat_arith",
     "format_rational",
     "parse_rational",
     "multinomial",
@@ -27,8 +25,6 @@ __all__ = [
     "enumerate_compositions",
     "enumerate_set_partitions",
 ]
-
-Rational = Fraction
 
 # enumeration caps; exceeding one raises EnumerationLimitError
 COMPOSITION_CAP = 25
@@ -48,21 +44,6 @@ def rat(numerator: int, denominator: int = 1) -> Fraction:
     if denominator == 0:
         raise DomainError("zero denominator")
     return Fraction(numerator, denominator)
-
-
-def rat_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Apply one of "add", "sub", "mul", "div" exactly."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise DomainError("division by zero")
-        return a / b
-    raise DomainError("unknown rational operation %r" % op)
 
 
 def format_rational(value: Fraction | int) -> str:

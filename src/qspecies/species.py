@@ -3,10 +3,12 @@
 A species assigns to every size vector (one entry per sort, 1 or 2 sorts) a
 graded groupoid, uniformly in the labels, so only sizes matter.  Values are
 memoized per species.  The combinators below mirror the calculus of
-exponential generating series coefficientwise: sum is pointwise union,
-product splits the labels with binomial multiplicities, composition sums over
-set partitions with block colorings, and the alternating geometric inverse
-inverts 1 + F under product.
+exponential generating series coefficientwise: sum is pointwise union, and
+product splits the labels with binomial multiplicities.  The product is the
+one labeled kernel: composition F(G1..Gs) is the union over color counts k
+of F(k) times the power G1^k1 ... Gs^ks, with multiplicities divided exactly
+by k1! ... ks!, and the alternating geometric inverse R of 1 + F is the
+solution of R = 1 - F*R.
 
 Default evaluation never touches individual labels: it counts how many
 labeled configurations share each isomorphism type and replicates components
@@ -21,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .numeric import DomainError, EnumerationLimitError, enumerate_set_partitions, multinomial
+from .numeric import DomainError, EnumerationLimitError, enumerate_set_partitions
 from .groupoid import (
     GRADED_EMPTY,
     GRADED_UNIT,
@@ -156,7 +158,17 @@ class Species:
     __neg__ = negate
 
     def compose(self, *inner: "Species") -> "Species":
-        """Plug one inner species per sort of self; see _compose_value."""
+        """Plug one inner species G_i per sort of self: F(G1, ..., Gs).
+
+        At sizes n the value is the union, over color counts k = (k1..ks)
+        with |k| <= |n|, of F(k) times the power species G1^k1 ... Gs^ks at
+        n, with every multiplicity divided by k1! ... ks!.  The power counts
+        ordered lists of blocks, k_i of them colored i; permuting the blocks
+        of each color acts freely, because the inner species are empty at
+        size zero, so the division is exact and leaves one term per set
+        partition with colored blocks.  The powers are built once per
+        composed species by the ordinary product and memoized by k.
+        """
         if len(inner) != self.sorts:
             raise DomainError(
                 "compose: expected %d inner species, got %d" % (self.sorts, len(inner))
@@ -166,12 +178,35 @@ class Species:
             if g.sorts != t:
                 raise DomainError("compose: inner species must share a sort count")
             _require_positive_part(g, "compose")
+        powers = {(0,) * self.sorts: one_species(t)}
+
+        def power(k: SizeVector) -> Species:
+            got = powers.get(k)
+            if got is None:
+                i = max(c for c, m in enumerate(k) if m)
+                got = power(k[:i] + (k[i] - 1,) + k[i + 1 :]) * inner[i]
+                powers[k] = got
+            return got
+
+        def rule(sizes: SizeVector) -> GradedGroupoid:
+            total = sum(sizes)
+            if total > COMPOSE_CAP:
+                raise EnumerationLimitError(
+                    "compose: total size %d exceeds cap %d" % (total, COMPOSE_CAP)
+                )
+            terms = []
+            for k in size_keys(self.sorts, total):
+                fv = self.value(k)
+                if fv.is_empty:
+                    continue
+                pv = power(k).value(sizes)
+                if pv.is_empty:
+                    continue
+                terms.append(fv * _divide_exact(pv, math.prod(map(math.factorial, k))))
+            return GradedGroupoid.union_all(terms)
+
         inner_names = ",".join(g.name for g in inner)
-        return Species(
-            t,
-            lambda sizes: _compose_value(self, inner, sizes),
-            "compose(%s,%s)" % (self.name, inner_names),
-        )
+        return Species(t, rule, "compose(%s,%s)" % (self.name, inner_names))
 
     __call__ = compose
 
@@ -220,95 +255,26 @@ def _product_value(f: Species, g: Species, sizes: SizeVector) -> GradedGroupoid:
     return GradedGroupoid.union_all(terms)
 
 
-def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _divide_exact(g: GradedGroupoid, d: int) -> GradedGroupoid:
+    """g with every component multiplicity divided by d.
 
-
-def _block_type_multisets(
-    sizes: SizeVector,
-) -> Iterator[tuple[tuple[SizeVector, int], ...]]:
-    """Multisets of nonzero block-size vectors summing to sizes.
-
-    Yielded as ((vector, multiplicity), ...) with vectors strictly decreasing
-    lexicographically, so each multiset appears exactly once.
+    Callers divide by the order of a group acting freely, so a remainder is
+    a bug and raises rather than rounding.
     """
-    nonzero = sorted((v for v in _subvectors(sizes) if any(v)), reverse=True)
-
-    def rec(remaining: SizeVector, start: int):
-        if not any(remaining):
-            yield ()
-            return
-        for idx in range(start, len(nonzero)):
-            v = nonzero[idx]
-            if all(x <= r for x, r in zip(v, remaining)):
-                for tail in rec(_vec_sub(remaining, v), idx):
-                    if tail and tail[0][0] == v:
-                        yield ((v, tail[0][1] + 1),) + tail[1:]
-                    else:
-                        yield ((v, 1),) + tail
-
-    return rec(tuple(sizes), 0)
-
-
-def _compose_value(f: Species, inner: Sequence[Species], sizes: SizeVector) -> GradedGroupoid:
-    """Sum over set partitions of the sizes-labeled set and block colorings.
-
-    Partitions are grouped by block-size type: a type with distinct vectors
-    v_j of multiplicity m_j accounts for
-
-        prod(n_s!) / (prod_j (prod_s v_js!)^m_j * m_j!)
-
-    partitions, and each way of coloring its blocks by the inner species
-    splits the m_j further with multinomial weight.  Every partition/coloring
-    pair contributes f at the color counts times the product of inner values
-    at the block vectors.
-    """
-    total = sum(sizes)
-    if total > COMPOSE_CAP:
-        raise EnumerationLimitError("compose: total size %d exceeds cap %d" % (total, COMPOSE_CAP))
-    s = f.sorts
-    base = 1
-    for n in sizes:
-        base *= math.factorial(n)
-    terms = []
-    for groups in _block_type_multisets(sizes):
-        denom = 1
-        for vec, m in groups:
-            vfact = 1
-            for x in vec:
-                vfact *= math.factorial(x)
-            denom *= vfact ** m * math.factorial(m)
-        partitions = base // denom
-        for splits in itertools.product(
-            *[_weak_compositions(m, s) for _, m in groups]
-        ):
-            weight = partitions
-            colors = [0] * s
-            for (vec, m), split in zip(groups, splits):
-                weight *= multinomial(m, split)
-                for c, mc in enumerate(split):
-                    colors[c] += mc
-            val = f.value(tuple(colors))
-            for (vec, m), split in zip(groups, splits):
-                if val.is_empty:
-                    break
-                for c, mc in enumerate(split):
-                    if mc == 0:
-                        continue
-                    gv = inner[c].value(vec)
-                    if gv.is_empty:
-                        val = GRADED_EMPTY
-                        break
-                    for _ in range(mc):
-                        val = val * gv
-            if not val.is_empty:
-                terms.append(val.replicate(weight))
-    return GradedGroupoid.union_all(terms)
+    if d == 1:
+        return g
+    halves = []
+    for half in (g.pos, g.neg):
+        counts = []
+        for comp, count in half.parts:
+            quot, rem = divmod(count, d)
+            if rem:
+                raise ArithmeticError(
+                    "multiplicity %d of %r is not divisible by %d" % (count, comp, d)
+                )
+            counts.append((comp, quot))
+        halves.append(FiniteGroupoid.from_counts(counts))
+    return GradedGroupoid(*halves)
 
 
 def constant_species(value: "FiniteGroupoid | GradedGroupoid", sorts: int = 1) -> Species:
@@ -367,17 +333,14 @@ def substitute_xy(f: Species) -> Species:
 
 
 def geom_inverse(f: Species) -> Species:
-    """Alternating inverse of 1 + f under product: the signed union over
-    ordered decompositions of the labels into nonempty f-blocks.
+    """Alternating inverse R of 1 + f under product, from R = 1 - f*R.
 
-    Evaluated by the first-block recurrence R(0) = unit and
-
-        R(n) = union over nonzero a <= n of binom(n, a) copies of
-               negate(f(a) x R(n - a)),
-
-    which unfolds to exactly the ordered-composition union with multinomial
-    multiplicities.  Requires f to be empty at size zero, which makes the
-    recursion well-founded.
+    R is the unit at size zero and, above it, the negated product of f with
+    R itself: the product's labeled split gives the first f-block and the
+    rest, so R unfolds to the signed union over ordered decompositions of
+    the labels into nonempty f-blocks, with multinomial multiplicities.
+    Requires f to be empty at size zero, which makes the recursion
+    well-founded.
     """
     _require_positive_part(f, "geominv")
     out = Species(f.sorts, lambda sizes: GRADED_EMPTY, "geominv(%s)" % f.name)
@@ -391,18 +354,7 @@ def geom_inverse(f: Species) -> Species:
             raise EnumerationLimitError(
                 "geominv: total size %d exceeds cap %d" % (total, GEOM_INVERSE_CAP)
             )
-        terms = []
-        for first in _subvectors(sizes):
-            if not any(first):
-                continue
-            fv = f.value(first)
-            if fv.is_empty:
-                continue
-            tail = out.value(_vec_sub(sizes, first))
-            if tail.is_empty:
-                continue
-            terms.append((-(fv * tail)).replicate(_binoms(sizes, first)))
-        return GradedGroupoid.union_all(terms)
+        return -_product_value(f, out, sizes)
 
     out._rule = rule
     return out

@@ -255,6 +255,15 @@ def test_bernoulli_poly_all_routes(capsys):
     assert json.loads(out)["verdict"] == "MATCH"
 
 
+@pytest.mark.parametrize("command", ["bernoulli", "euler"])
+def test_poly_all_routes_order_13(capsys, command):
+    # the species route evaluates only the rows it returns, so order 13 stays
+    # under the geometric-inverse cap
+    code, out, err = run(capsys, command, "--poly", "--order", "13")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "MATCH"
+
+
 def test_bernoulli_bad_order(capsys):
     code, _, err = run(capsys, "bernoulli", "--order", "-1")
     assert code == 2

@@ -13,7 +13,6 @@ from qspecies.groupoid import (
     FiniteGroupoid,
     GradedGroupoid,
     GroupAction,
-    action_from_json,
     cardinality,
     cyclic,
     discrete,
@@ -21,10 +20,8 @@ from qspecies.groupoid import (
     group_of_order,
     groupoid_from_json,
     increasing_factorial,
-    named_groupoid,
     power_quotient,
     quotient,
-    symmetric_power,
 )
 from qspecies.numeric import DomainError, EnumerationLimitError
 
@@ -58,7 +55,6 @@ def test_basic_cardinalities():
     assert discrete(7).cardinality() == 7
     assert cyclic(5).cardinality() == Fraction(1, 5)
     assert group_of_order(12).cardinality() == Fraction(1, 12)
-    assert symmetric_power(3, 2).cardinality() == Fraction(1, 36)
     # one 2-object component with cyclic C2 plus a point with C2
     g = FiniteGroupoid([(2, 1), (1, 2)])
     assert g.cardinality() == Fraction(3, 2)
@@ -143,19 +139,6 @@ def test_graded_negate_and_union():
 def test_cardinality_dispatch_rejects_non_groupoids():
     with pytest.raises(DomainError):
         cardinality(3)
-
-
-def test_named_groupoid():
-    assert named_groupoid("discrete", 4) == discrete(4)
-    assert named_groupoid("cyclic", 3) == cyclic(3)
-    assert named_groupoid("group", 8) == group_of_order(8)
-    assert named_groupoid("symmetric_power", 3, 2) == symmetric_power(3, 2)
-    with pytest.raises(DomainError):
-        named_groupoid("discrete")
-    with pytest.raises(DomainError):
-        named_groupoid("mystery", 1)
-    with pytest.raises(DomainError):
-        named_groupoid("cyclic", 0)
 
 
 def _is_group_pairwise(degree, elements):
@@ -343,19 +326,6 @@ def test_json_validation():
         finite_from_json({"components": [[1]]})
     with pytest.raises(DomainError):
         finite_from_json({"components": "nope"})
-
-
-def test_action_from_json():
-    a = action_from_json({"degree": 3, "generators": [[2, 3, 1]]})
-    assert len(a) == 3
-    b = action_from_json({"degree": 2, "elements": [[1, 2], [2, 1]]})
-    assert len(b) == 2
-    with pytest.raises(DomainError):
-        action_from_json({"degree": "x", "elements": []})
-    with pytest.raises(DomainError):
-        action_from_json({"elements": [[1]]})
-    with pytest.raises(DomainError):
-        action_from_json({"degree": 2})
 
 
 def test_repr_is_stable():

@@ -16,7 +16,6 @@ from qspecies.numeric import (
     multinomial,
     parse_rational,
     rat,
-    rat_arith,
     rising_factorial,
 )
 
@@ -45,21 +44,6 @@ def test_rat_normalizes():
 def test_rat_zero_denominator():
     with pytest.raises(DomainError):
         rat(1, 0)
-
-
-def test_rat_arith_table():
-    a, b = Fraction(3, 4), Fraction(-2, 5)
-    assert rat_arith(a, b, "add") == Fraction(7, 20)
-    assert rat_arith(a, b, "sub") == Fraction(23, 20)
-    assert rat_arith(a, b, "mul") == Fraction(-3, 10)
-    assert rat_arith(a, b, "div") == Fraction(-15, 8)
-
-
-def test_rat_arith_errors():
-    with pytest.raises(DomainError):
-        rat_arith(Fraction(1), Fraction(0), "div")
-    with pytest.raises(DomainError):
-        rat_arith(Fraction(1), Fraction(1), "pow")
 
 
 @given(rationals, rationals, rationals)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qspecies.catalog import cyc_pow, exp_species, x_species, xy_species
+from qspecies.catalog import cyc_pow, exp_species, sin_integral, sym_pow, x_species, xy_species
 from qspecies.groupoid import (
     GRADED_EMPTY,
     GRADED_UNIT,
@@ -18,6 +18,7 @@ from qspecies.species import (
     GEOM_INVERSE_CAP,
     PRODUCT_CAP,
     Species,
+    _divide_exact,
     binomial_power,
     compose_labeled,
     constant_species,
@@ -178,11 +179,18 @@ def test_compose_requires_positive_inner():
 def test_compose_matches_labeled_oracle():
     outer = [exp_species(), cyc_pow(1), cyc_pow(2)]
     inner = [exp_pos(), cyc_pow(1), x_species()]
-    for f in outer:
-        for g in inner:
-            fast = f.compose(g)
-            for n in range(7):
-                assert fast.value(n) == compose_labeled(f, [g], n)
+    cases = [(f, g) for f in outer for g in inner]
+    # signed outer and inner species, and k! > 1 multiplicities that carry
+    # automorphisms
+    cases += [
+        (sin_integral(), exp_pos()),
+        (exp_species(), -exp_pos()),
+        (sym_pow(1), sym_pow(2).positive_part()),
+    ]
+    for f, g in cases:
+        fast = f.compose(g)
+        for n in range(7):
+            assert fast.value(n) == compose_labeled(f, [g], n)
 
 
 def test_compose_two_sort_outer():
@@ -193,6 +201,24 @@ def test_compose_two_sort_outer():
         assert f.value(n) == compose_labeled(exp_species(sorts=2), [exp_pos(), exp_pos()], n)
     # decategorified: exp(x) o (e^x - 1, e^x - 1) = exp(2(e^x - 1))
     assert f.cardinality_at(2) == 6  # 2-color partitions: B2 with 2^blocks
+    exp2 = exp_species(sorts=2)
+    exp2_pos = exp2.positive_part()
+    g = exp2.compose(exp_pos(), sin_integral())
+    for n in range(7):
+        assert g.value(n) == compose_labeled(exp2, [exp_pos(), sin_integral()], n)
+    # two-sort inner species
+    h = exp2.compose(exp2_pos, exp2_pos)
+    assert h.sorts == 2
+    for a in range(7):
+        for b in range(7 - a):
+            assert h.value((a, b)) == compose_labeled(exp2, [exp2_pos, exp2_pos], (a, b))
+
+
+def test_compose_division_is_exact():
+    g = GradedGroupoid(discrete(6), cyclic(2).replicate(4))
+    assert _divide_exact(g, 2) == GradedGroupoid(discrete(3), cyclic(2).replicate(2))
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        _divide_exact(g, 4)
 
 
 def test_compose_cap():
@@ -231,6 +257,11 @@ def test_geom_inverse_matches_labeled_oracle():
         inv = geom_inverse(g)
         for n in range(7):
             assert inv.value(n) == geom_inverse_labeled(g, n)
+    g = exp_species(sorts=2).positive_part()
+    inv = geom_inverse(g)
+    for a in range(7):
+        for b in range(7 - a):
+            assert inv.value((a, b)) == geom_inverse_labeled(g, (a, b))
 
 
 def test_geom_inverse_requires_positive():
