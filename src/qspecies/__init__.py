@@ -15,8 +15,6 @@ from .numeric import (
     enumerate_set_partitions,
     format_rational,
     multinomial,
-    parse_rational,
-    rat,
 )
 from .groupoid import (
     Component,
@@ -52,9 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError",
     "EnumerationLimitError",
-    "rat",
     "format_rational",
-    "parse_rational",
     "multinomial",
     "enumerate_compositions",
     "enumerate_set_partitions",

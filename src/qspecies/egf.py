@@ -10,8 +10,9 @@ two-variable tables.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator
 
 from .numeric import DomainError, binom_product, format_rational
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .numeric import DomainError, EnumerationLimitError
 
@@ -67,6 +68,37 @@ def _normalize(pairs: Iterable[tuple[Sequence[int], int]]) -> tuple[tuple[Compon
     return tuple(sorted(acc.items()))
 
 
+# makes a Component from a valid pair without NamedTuple's Python-level __new__
+_new_component = tuple.__new__
+
+
+def _trusted(acc: dict[tuple[int, int], int]) -> "FiniteGroupoid":
+    """The groupoid with the given counts, keyed by (object_count, aut_order).
+
+    For results built inside this module from components that were already
+    validated (products, unions, replicas): _normalize's checks are skipped,
+    zero counts are dropped and the keys are sorted once.
+    """
+    parts = tuple((_new_component(Component, key), n) for key, n in sorted(acc.items()) if n)
+    if not parts:
+        return EMPTY
+    g = FiniteGroupoid.__new__(FiniteGroupoid)
+    g._parts = parts
+    g._card = None
+    return g
+
+
+def _add_product(acc: dict[tuple[int, int], int], left, right, m: int) -> None:
+    """Add m copies of the product of two sorted part tuples into acc."""
+    if not right:
+        return
+    for (k1, a1), n1 in left:
+        c = n1 * m
+        for (k2, a2), n2 in right:
+            key = (k1 * k2, a1 * a2)
+            acc[key] = acc.get(key, 0) + c * n2
+
+
 class FiniteGroupoid:
     """Multiset of components; the empty multiset is the empty groupoid."""
 
@@ -111,7 +143,7 @@ class FiniteGroupoid:
         acc = dict(self._parts)
         for comp, count in other._parts:
             acc[comp] = acc.get(comp, 0) + count
-        return FiniteGroupoid.from_counts(acc)
+        return _trusted(acc)
 
     __add__ = disjoint_union
 
@@ -127,15 +159,12 @@ class FiniteGroupoid:
         for g in nonempty:
             for comp, count in g._parts:
                 acc[comp] = acc.get(comp, 0) + count
-        return FiniteGroupoid.from_counts(acc)
+        return _trusted(acc)
 
     def product(self, other: "FiniteGroupoid") -> "FiniteGroupoid":
-        acc: dict[Component, int] = {}
-        for (c1, n1) in self._parts:
-            for (c2, n2) in other._parts:
-                comp = Component(c1.object_count * c2.object_count, c1.aut_order * c2.aut_order)
-                acc[comp] = acc.get(comp, 0) + n1 * n2
-        return FiniteGroupoid.from_counts(acc)
+        acc: dict[tuple[int, int], int] = {}
+        _add_product(acc, self._parts, other._parts, 1)
+        return _trusted(acc)
 
     __mul__ = product
 
@@ -147,15 +176,15 @@ class FiniteGroupoid:
             return EMPTY
         if m == 1:
             return self
-        return FiniteGroupoid.from_counts((comp, count * m) for comp, count in self._parts)
+        return _trusted({comp: count * m for comp, count in self._parts})
 
     def inertia(self) -> "FiniteGroupoid":
         """Split every component (k, a) into k copies of (1, a)."""
-        acc: dict[Component, int] = {}
+        acc: dict[tuple[int, int], int] = {}
         for comp, count in self._parts:
-            key = Component(1, comp.aut_order)
+            key = (1, comp.aut_order)
             acc[key] = acc.get(key, 0) + count * comp.object_count
-        return FiniteGroupoid.from_counts(acc)
+        return _trusted(acc)
 
     def to_json(self) -> dict:
         """Expanded {"components": [[k, a], ...]} listing."""
@@ -188,6 +217,12 @@ class GradedGroupoid:
 
     No cancellation is ever applied: (pos, neg) is a formal difference and
     equality is structural on both halves.
+
+    Products follow the sign rule: like halves multiply into pos, unlike
+    halves into neg.  sum_of_products is the one kernel for them: it adds
+    the counts of every term's products into a single count dict per half
+    and builds each half once, sorted, without re-validating components that
+    come from valid ones; product is its one-term case.
     """
 
     __slots__ = ("pos", "neg")
@@ -224,12 +259,30 @@ class GradedGroupoid:
             FiniteGroupoid.union_all(g.neg for g in items),
         )
 
+    @staticmethod
+    def sum_of_products(
+        terms: Iterable[tuple["GradedGroupoid", "GradedGroupoid", int]]
+    ) -> "GradedGroupoid":
+        """Disjoint union over the (x, y, m) terms of m copies of x * y.
+
+        One accumulation: every product count times m is added into one
+        count dict per half, by the sign rule, and each half is built once.
+        """
+        pos: dict[tuple[int, int], int] = {}
+        neg: dict[tuple[int, int], int] = {}
+        for x, y, m in terms:
+            if m < 0:
+                raise DomainError("sum_of_products needs multiplicities m >= 0")
+            xp, xn, yp, yn = x.pos._parts, x.neg._parts, y.pos._parts, y.neg._parts
+            # sign rule: like halves multiply into pos, unlike halves into neg
+            _add_product(pos, xp, yp, m)
+            _add_product(pos, xn, yn, m)
+            _add_product(neg, xp, yn, m)
+            _add_product(neg, xn, yp, m)
+        return GradedGroupoid(_trusted(pos), _trusted(neg))
+
     def product(self, other: "GradedGroupoid") -> "GradedGroupoid":
-        # sign rule: like parts multiply into pos, unlike parts into neg
-        return GradedGroupoid(
-            self.pos * other.pos + self.neg * other.neg,
-            self.pos * other.neg + self.neg * other.pos,
-        )
+        return GradedGroupoid.sum_of_products(((self, other, 1),))
 
     __mul__ = product
 

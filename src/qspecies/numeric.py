@@ -15,9 +15,7 @@ __all__ = [
     "EnumerationLimitError",
     "COMPOSITION_CAP",
     "PARTITION_CAP",
-    "rat",
     "format_rational",
-    "parse_rational",
     "multinomial",
     "binom_product",
     "rising_factorial",
@@ -39,30 +37,10 @@ class EnumerationLimitError(RuntimeError):
     """A computation would exceed a configured enumeration cap."""
 
 
-def rat(numerator: int, denominator: int = 1) -> Fraction:
-    """Exact rational; zero denominators raise DomainError."""
-    if denominator == 0:
-        raise DomainError("zero denominator")
-    return Fraction(numerator, denominator)
-
-
 def format_rational(value: Fraction | int) -> str:
     """Serialize as "p/q" in lowest terms with q > 0; zero is "0/1"."""
     value = Fraction(value)
     return "%d/%d" % (value.numerator, value.denominator)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a bare integer string."""
-    parts = text.strip().split("/")
-    try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            return rat(int(parts[0]), int(parts[1]))
-    except ValueError:
-        pass
-    raise DomainError("malformed rational %r" % text)
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:

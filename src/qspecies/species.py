@@ -5,10 +5,12 @@ graded groupoid, uniformly in the labels, so only sizes matter.  Values are
 memoized per species.  The combinators below mirror the calculus of
 exponential generating series coefficientwise: sum is pointwise union, and
 product splits the labels with binomial multiplicities.  The product is the
-one labeled kernel: composition F(G1..Gs) is the union over color counts k
-of F(k) times the power G1^k1 ... Gs^ks, with multiplicities divided exactly
-by k1! ... ks!, and the alternating geometric inverse R of 1 + F is the
-solution of R = 1 - F*R.
+one labeled kernel: at each size, every split of the labels goes with its
+binomial multiplicity into a single GradedGroupoid.sum_of_products
+accumulation, so each value is built once.  Composition F(G1..Gs) is the
+union over color counts k of F(k) times the power G1^k1 ... Gs^ks, with
+multiplicities divided exactly by k1! ... ks!, and the alternating geometric
+inverse R of 1 + F is the solution of R = 1 - F*R.
 
 Default evaluation never touches individual labels: it counts how many
 labeled configurations share each isomorphism type and replicates components
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -67,7 +70,7 @@ class Species:
     evaluation returns the same structure.
     """
 
-    __slots__ = ("sorts", "name", "_rule", "_memo")
+    __slots__ = ("sorts", "name", "_rule", "_memo", "__weakref__")
 
     def __init__(self, sorts: int, rule: Callable[[SizeVector], GradedGroupoid], name: str = "species"):
         if sorts not in (1, 2):
@@ -181,11 +184,18 @@ class Species:
         powers = {(0,) * self.sorts: one_species(t)}
 
         def power(k: SizeVector) -> Species:
-            got = powers.get(k)
-            if got is None:
-                i = max(c for c, m in enumerate(k) if m)
-                got = power(k[:i] + (k[i] - 1,) + k[i + 1 :]) * inner[i]
-                powers[k] = got
+            # walk up from the unit, the first color to k1, then the next; a
+            # loop, because a closure that calls itself is a reference cycle
+            got = powers[(0,) * len(k)]
+            step = [0] * len(k)
+            for i, m in enumerate(k):
+                for j in range(1, m + 1):
+                    step[i] = j
+                    key = tuple(step)
+                    nxt = powers.get(key)
+                    if nxt is None:
+                        nxt = powers[key] = got * inner[i]
+                    got = nxt
             return got
 
         def rule(sizes: SizeVector) -> GradedGroupoid:
@@ -202,8 +212,8 @@ class Species:
                 pv = power(k).value(sizes)
                 if pv.is_empty:
                     continue
-                terms.append(fv * _divide_exact(pv, math.prod(map(math.factorial, k))))
-            return GradedGroupoid.union_all(terms)
+                terms.append((fv, _divide_exact(pv, math.prod(map(math.factorial, k))), 1))
+            return GradedGroupoid.sum_of_products(terms)
 
         inner_names = ",".join(g.name for g in inner)
         return Species(t, rule, "compose(%s,%s)" % (self.name, inner_names))
@@ -251,8 +261,8 @@ def _product_value(f: Species, g: Species, sizes: SizeVector) -> GradedGroupoid:
         gv = g.value(_vec_sub(sizes, left))
         if gv.is_empty:
             continue
-        terms.append((fv * gv).replicate(_binoms(sizes, left)))
-    return GradedGroupoid.union_all(terms)
+        terms.append((fv, gv, _binoms(sizes, left)))
+    return GradedGroupoid.sum_of_products(terms)
 
 
 def _divide_exact(g: GradedGroupoid, d: int) -> GradedGroupoid:
@@ -344,6 +354,9 @@ def geom_inverse(f: Species) -> Species:
     """
     _require_positive_part(f, "geominv")
     out = Species(f.sorts, lambda sizes: GRADED_EMPTY, "geominv(%s)" % f.name)
+    # the rule reaches R weakly: a strong reference would be a cycle that
+    # keeps R and its memo alive until the cyclic garbage collector runs
+    me = weakref.proxy(out)
     zero = (0,) * f.sorts
 
     def rule(sizes: SizeVector) -> GradedGroupoid:
@@ -354,7 +367,7 @@ def geom_inverse(f: Species) -> Species:
             raise EnumerationLimitError(
                 "geominv: total size %d exceeds cap %d" % (total, GEOM_INVERSE_CAP)
             )
-        return -_product_value(f, out, sizes)
+        return -_product_value(f, me, sizes)
 
     out._rule = rule
     return out
@@ -404,6 +417,11 @@ def egf_of(f: Species, order: int) -> TruncatedEGF:
 # -- labeled oracles ------------------------------------------------------
 
 
+def _times(x: GradedGroupoid, y: GradedGroupoid) -> GradedGroupoid:
+    """x * y with the sign rule spelled out apart from the fused kernel."""
+    return GradedGroupoid(x.pos * y.pos + x.neg * y.neg, x.pos * y.neg + x.neg * y.pos)
+
+
 def _tags(sizes: SizeVector) -> list[int]:
     out: list[int] = []
     for sort, n in enumerate(sizes):
@@ -430,7 +448,7 @@ def product_labeled(f: Species, g: Species, sizes) -> GradedGroupoid:
         gv = g.value(_vec_sub(sizes, left))
         if gv.is_empty:
             continue
-        terms.append(fv * gv)
+        terms.append(_times(fv, gv))
     return GradedGroupoid.union_all(terms)
 
 
@@ -454,7 +472,7 @@ def compose_labeled(f: Species, inner: Sequence[Species], sizes) -> GradedGroupo
             for vec, c in zip(vecs, colors):
                 if val.is_empty:
                     break
-                val = val * inner[c].value(vec)
+                val = _times(val, inner[c].value(vec))
             if not val.is_empty:
                 terms.append(val)
     return GradedGroupoid.union_all(terms)
@@ -490,7 +508,7 @@ def geom_inverse_labeled(f: Species, sizes) -> GradedGroupoid:
         for block in blocks:
             if val.is_empty:
                 break
-            val = val * f.value(_vec_of(block, tags, t))
+            val = _times(val, f.value(_vec_of(block, tags, t)))
         if val.is_empty:
             continue
         terms.append(val if len(blocks) % 2 == 0 else -val)

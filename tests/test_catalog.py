@@ -23,8 +23,6 @@ from qspecies.egf import (
     scaled_exp_series,
     sin_series,
     sinh_series,
-    x_series,
-    zero_series,
 )
 from qspecies.groupoid import GroupAction
 from qspecies.numeric import DomainError, rising_factorial

@@ -118,6 +118,27 @@ def test_graded_sign_rule():
     assert (n * n).neg.is_empty
 
 
+def test_sum_of_products_matches_replicated_products():
+    rng = random.Random(11)
+    for _ in range(200):
+        terms = []
+        for _ in range(rng.randrange(4)):
+            x = GradedGroupoid(random_groupoid(rng), random_groupoid(rng))
+            y = GradedGroupoid(random_groupoid(rng), random_groupoid(rng))
+            terms.append((x, y, rng.randrange(4)))
+        pos = FiniteGroupoid.union_all(
+            (x.pos * y.pos + x.neg * y.neg).replicate(m) for x, y, m in terms
+        )
+        neg = FiniteGroupoid.union_all(
+            (x.pos * y.neg + x.neg * y.pos).replicate(m) for x, y, m in terms
+        )
+        got = GradedGroupoid.sum_of_products(terms)
+        assert got == GradedGroupoid(pos, neg)
+        assert repr(got) == repr(GradedGroupoid(pos, neg))
+    with pytest.raises(DomainError):
+        GradedGroupoid.sum_of_products([(GRADED_UNIT, GRADED_UNIT, -1)])
+
+
 def test_graded_no_cancellation():
     g = GradedGroupoid(discrete(2), discrete(2))
     assert g.cardinality() == 0

@@ -14,8 +14,6 @@ from qspecies.numeric import (
     falling_factorial,
     format_rational,
     multinomial,
-    parse_rational,
-    rat,
     rising_factorial,
 )
 
@@ -35,17 +33,6 @@ def bell_numbers(count):
     return bells
 
 
-def test_rat_normalizes():
-    assert rat(2, 4) == Fraction(1, 2)
-    assert rat(-2, 4).denominator == 2
-    assert rat(3) == 3
-
-
-def test_rat_zero_denominator():
-    with pytest.raises(DomainError):
-        rat(1, 0)
-
-
 @given(rationals, rationals, rationals)
 def test_field_axioms(a, b, c):
     assert a + b == b + a
@@ -60,23 +47,13 @@ def test_field_axioms(a, b, c):
 def test_format_parse_round_trip(a):
     text = format_rational(a)
     assert "/" in text
-    assert parse_rational(text) == a
+    assert Fraction(text) == a
 
 
 def test_format_zero_and_negatives():
     assert format_rational(Fraction(0)) == "0/1"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert format_rational(7) == "7/1"
-
-
-def test_parse_bare_integer():
-    assert parse_rational("-12") == -12
-
-
-@pytest.mark.parametrize("bad", ["", "a/b", "1/2/3", "1.5", "1/0"])
-def test_parse_rejects(bad):
-    with pytest.raises(DomainError):
-        parse_rational(bad)
 
 
 def test_multinomial_matches_factorials():

@@ -1,4 +1,5 @@
-import math
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from qspecies.groupoid import (
     cyclic,
     discrete,
 )
+from qspecies.egf import size_keys
 from qspecies.numeric import DomainError, EnumerationLimitError
 from qspecies.species import (
     COMPOSE_CAP,
@@ -99,6 +101,22 @@ def test_product_matches_labeled_oracle():
         fast = f * g
         for n in range(7):
             assert fast.value(n) == product_labeled(f, g, n)
+
+
+def test_signed_product_matches_labeled_oracle():
+    # species with neg parts exercise every branch of the kernel's sign rule
+    signed = [-exp_pos(), geom_inverse(exp_pos()), binomial_power(2, 3), sin_integral()]
+    for f in signed:
+        for g in signed:
+            fast = f * g
+            for n in range(7):
+                assert fast.value(n) == product_labeled(f, g, n)
+    f = -exp_species(sorts=2).positive_part()
+    g = geom_inverse(exp_species(sorts=2).positive_part())
+    for left, right in ((f, g), (g, f)):
+        fast = left * right
+        for key in size_keys(2, 5):
+            assert fast.value(key) == product_labeled(left, right, key)
 
 
 def test_product_labeled_two_sorts():
@@ -262,6 +280,36 @@ def test_geom_inverse_matches_labeled_oracle():
     for a in range(7):
         for b in range(7 - a):
             assert inv.value((a, b)) == geom_inverse_labeled(g, (a, b))
+
+
+def _live_species():
+    return sum(isinstance(o, Species) for o in gc.get_objects())
+
+
+def test_species_are_freed_without_the_cycle_collector():
+    # a rule that reaches its own species strongly makes a cycle, which keeps
+    # every memo in it alive until a full cyclic collection happens to run
+    exp2_pos = exp_species(sorts=2).positive_part
+    cases = [
+        (lambda: geom_inverse(exp_pos()), size_keys(1, 10)),
+        (lambda: exp_species(sorts=2).compose(exp2_pos(), exp2_pos()), size_keys(2, 5)),
+        (lambda: scaled_reciprocal(2, 3, exp_pos()), size_keys(1, 10)),
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for build, keys in cases:
+            before = _live_species()
+            f = build()
+            for key in keys:
+                f.value(key)
+            ref = weakref.ref(f)
+            del f
+            assert ref() is None
+            assert _live_species() == before
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_geom_inverse_requires_positive():
