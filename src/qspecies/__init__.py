@@ -11,7 +11,6 @@ purely combinatorial means, cross-checked against series arithmetic.
 from .numeric import (
     DomainError,
     EnumerationLimitError,
-    enumerate_compositions,
     enumerate_set_partitions,
     format_rational,
     multinomial,
@@ -52,7 +51,6 @@ __all__ = [
     "EnumerationLimitError",
     "format_rational",
     "multinomial",
-    "enumerate_compositions",
     "enumerate_set_partitions",
     "Component",
     "FiniteGroupoid",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .numeric import DomainError, falling_factorial, rising_factorial
+from .numeric import DomainError, charge, falling_factorial, rising_factorial, weight
 from .groupoid import (
     GRADED_EMPTY,
     GRADED_UNIT,
@@ -44,9 +44,19 @@ __all__ = [
 ]
 
 
-def _single(sizes, n, groupoid):
-    """Positive value `groupoid` at size n, empty elsewhere (single sort)."""
-    return GradedGroupoid.positive(groupoid) if sizes == (n,) else GRADED_EMPTY
+def _one_object(name: str, low: int, bits, order) -> Species:
+    """One object with order(n) automorphisms at each size n >= low, empty
+    below; bits(n) bounds the size of order(n) and is charged before it is
+    built."""
+
+    def rule(sizes):
+        n = sizes[0]
+        if n < low:
+            return GRADED_EMPTY
+        charge(weight(bits(n)) ** 2, name, n)
+        return GradedGroupoid.positive(FiniteGroupoid([(1, order(n))]))
+
+    return Species(1, rule, name)
 
 
 def x_species(sort_index: int = 1, sorts: int = 1) -> Species:
@@ -71,12 +81,12 @@ def sym_pow(power: int) -> Species:
     """One object with (n!)**power automorphisms at size n."""
     if power < 0:
         raise DomainError("Spow needs power >= 0")
-    return Species(
-        1,
-        lambda sizes: GradedGroupoid.positive(
-            FiniteGroupoid([(1, math.factorial(sizes[0]) ** power)])
-        ),
+    # log2(n!) <= n * bit_length(n)
+    return _one_object(
         "Spow(%d)" % power,
+        0,
+        lambda n: power * n * n.bit_length(),
+        lambda n: math.factorial(n) ** power,
     )
 
 
@@ -84,25 +94,14 @@ def cyc_pow(power: int) -> Species:
     """One object with n**power automorphisms at size n >= 1, empty at 0."""
     if power < 0:
         raise DomainError("Zpow needs power >= 0")
-
-    def rule(sizes):
-        n = sizes[0]
-        if n == 0:
-            return GRADED_EMPTY
-        return GradedGroupoid.positive(FiniteGroupoid([(1, n ** power)]))
-
-    return Species(1, rule, "Zpow(%d)" % power)
+    return _one_object("Zpow(%d)" % power, 1, lambda n: power * n.bit_length(), lambda n: n ** power)
 
 
 def scaled_exp(base: int) -> Species:
     """One object with base**n automorphisms at size n: the series exp(x/base)."""
     if base < 1:
         raise DomainError("E needs base >= 1")
-    return Species(
-        1,
-        lambda sizes: GradedGroupoid.positive(FiniteGroupoid([(1, base ** sizes[0])])),
-        "E(%d)" % base,
-    )
+    return _one_object("E(%d)" % base, 0, lambda n: n * base.bit_length(), lambda n: base ** n)
 
 
 def group_species(order: int) -> Species:
@@ -114,14 +113,12 @@ def rising_base(base: int) -> Species:
     """One object with base(base+1)...(base+n-1) automorphisms at size n >= 1."""
     if base < 1:
         raise DomainError("RisingZ needs base >= 1")
-
-    def rule(sizes):
-        n = sizes[0]
-        if n == 0:
-            return GRADED_EMPTY
-        return GradedGroupoid.positive(FiniteGroupoid([(1, rising_factorial(base, n))]))
-
-    return Species(1, rule, "RisingZ(%d)" % base)
+    return _one_object(
+        "RisingZ(%d)" % base,
+        1,
+        lambda n: n * (base + n).bit_length(),
+        lambda n: rising_factorial(base, n),
+    )
 
 
 def subsets_species() -> Species:
@@ -134,6 +131,7 @@ def subsets_species() -> Species:
 
     def rule(sizes):
         n = sizes[0]
+        charge((n + 1) * weight(n * n.bit_length()) ** 2, "Psubsets", n)
         counts: dict[tuple[int, int], int] = {}
         for k in range(n + 1):
             comp = (math.comb(n, k), math.factorial(k))
@@ -147,28 +145,24 @@ def inc_fact(length: int) -> Species:
     """One object with rising factorial n(n+1)...(n+length-1) automorphisms, n >= 1."""
     if length < 1:
         raise DomainError("IncFact needs length >= 1")
-
-    def rule(sizes):
-        n = sizes[0]
-        if n == 0:
-            return GRADED_EMPTY
-        return GradedGroupoid.positive(FiniteGroupoid([(1, rising_factorial(n, length))]))
-
-    return Species(1, rule, "IncFact(%d)" % length)
+    return _one_object(
+        "IncFact(%d)" % length,
+        1,
+        lambda n: length * (n + length).bit_length(),
+        lambda n: rising_factorial(n, length),
+    )
 
 
 def dec_fact(length: int) -> Species:
     """One object with falling factorial n(n-1)...(n-length+1) automorphisms, n >= length."""
     if length < 1:
         raise DomainError("DecFact needs length >= 1")
-
-    def rule(sizes):
-        n = sizes[0]
-        if n < length:
-            return GRADED_EMPTY
-        return GradedGroupoid.positive(FiniteGroupoid([(1, falling_factorial(n, length))]))
-
-    return Species(1, rule, "DecFact(%d)" % length)
+    return _one_object(
+        "DecFact(%d)" % length,
+        length,
+        lambda n: length * n.bit_length(),
+        lambda n: falling_factorial(n, length),
+    )
 
 
 def power_group(k: int, action: GroupAction) -> Species:

@@ -1,7 +1,8 @@
 """Command line: exact cardinalities, coefficient tables, number tables, laws.
 
-Exit codes: 0 success, 1 a cross-route verification failed, 2 usage or input
-problems.  All output is deterministic; rationals are always "p/q".
+Exit codes: 0 success, 1 routes disagree (MISMATCH) or a law failed (FAIL),
+2 usage or input problems or the work budget ran out, 3 an internal error.
+All output is deterministic; rationals are always "p/q".
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .numeric import DomainError, EnumerationLimitError, format_rational
+from .numeric import DomainError, EnumerationLimitError, format_rational, work_meter
 from .groupoid import cardinality, groupoid_from_json
 from .species import egf_of
 from .expr import ExprError, build, parse
@@ -148,6 +149,8 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise DomainError("--trials must be >= 0")
     reports = run_suites(args.suite, order=args.order, seed=args.seed, trials=args.trials)
     bad = 0
     for report in reports:
@@ -209,7 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with work_meter():
+            return args.func(args)
     except ExprError as err:
         print("error[parse]: %s" % err, file=sys.stderr)
         return 2
@@ -222,6 +226,9 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as err:
         print("error[input]: %s" % err, file=sys.stderr)
         return 2
+    except Exception as err:  # a fault of the program, never a verdict
+        print("error[internal]: %s: %s" % (type(err).__name__, err), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

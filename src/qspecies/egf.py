@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .numeric import DomainError, binom_product, format_rational
+from .numeric import DomainError, binom_product, charge, format_rational, fraction_units
 
 __all__ = [
     "TruncatedEGF",
@@ -50,6 +50,10 @@ def size_keys(nvars: int, order: int) -> Iterator[tuple[int, ...]]:
                 yield (a, d - a)
     else:
         raise DomainError("series support 1 or 2 variables")
+
+
+def _bits(value: Fraction) -> int:
+    return value.numerator.bit_length() + value.denominator.bit_length()
 
 
 class TruncatedEGF:
@@ -126,6 +130,8 @@ class TruncatedEGF:
     def mul(self, other: "TruncatedEGF") -> "TruncatedEGF":
         """Binomial convolution: the EGF of the product."""
         order = self._binop_order(other, "mul")
+        # a multiply-add, two Fraction operations, per pair
+        charge(2 * len(self._coeffs) * len(other._coeffs) * fraction_units(0), "series product", order)
         out: dict[tuple[int, ...], Fraction] = {}
         for k1, c1 in self._coeffs.items():
             if sum(k1) > order:
@@ -169,6 +175,7 @@ class TruncatedEGF:
             scale = c
             for k in key:
                 scale /= math.factorial(k)
+            charge(2 * len(term._coeffs) * fraction_units(0), "series composition", order)
             for tk, tv in term._coeffs.items():
                 acc[tk] = acc.get(tk, Fraction(0)) + scale * tv
         return TruncatedEGF(t, order, acc)
@@ -181,9 +188,14 @@ class TruncatedEGF:
             raise DomainError("reciprocal requires a nonzero constant term")
         inv0 = 1 / c0
         out: dict[tuple[int, ...], Fraction] = {zero: inv0}
+        # charged by row, as sizes below become known; keys come by degree
+        bits = out_bits = _bits(inv0)
         for key in size_keys(self.nvars, self.order):
             if key == zero:
                 continue
+            bits = max(bits, _bits(self._coeffs.get(key, inv0)))
+            units = 2 * (math.prod(k + 1 for k in key) - 1) * fraction_units(bits + out_bits + sum(key))
+            charge(units, "series reciprocal", sum(key))
             total = Fraction(0)
             for k, c in self._coeffs.items():
                 if k == zero or any(a > b for a, b in zip(k, key)):
@@ -194,6 +206,7 @@ class TruncatedEGF:
                     total += binom_product(key, k) * c * r
             if total:
                 out[key] = -inv0 * total
+                out_bits = max(out_bits, _bits(out[key]))
         return TruncatedEGF(self.nvars, self.order, out)
 
     def divide(self, den: "TruncatedEGF") -> "TruncatedEGF":
@@ -324,6 +337,7 @@ def x_series(order: int, i: int = 1, nvars: int = 1) -> TruncatedEGF:
 
 def exp_series(order: int, nvars: int = 1) -> TruncatedEGF:
     """exp of the sum of the variables: every EGF coefficient is 1."""
+    charge(fraction_units(0) * math.comb(order + nvars, nvars), "exp series", order)
     return TruncatedEGF(nvars, order, {key: 1 for key in size_keys(nvars, order)})
 
 

@@ -52,6 +52,9 @@ class Call:
 
 Node = Union[Name, IntLit, Call]
 
+# deepest call nesting: deeper would run the parser and the species out of stack
+_MAX_DEPTH = 100
+
 _TOKEN = re.compile(r"d/dx[12]|[A-Za-z_][A-Za-z0-9_]*|\d+|[(),]")
 
 
@@ -84,6 +87,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.length = length
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -106,7 +110,10 @@ class _Parser:
             raise ExprError("unexpected end of expression", self.length)
         if tok[0] == "int":
             self.take()
-            return IntLit(int(tok[1]), tok[2])
+            try:
+                return IntLit(int(tok[1]), tok[2])
+            except ValueError:  # past the interpreter's limit on integer digits
+                raise ExprError("integer literal too long", tok[2]) from None
         return self.parse_expr()
 
     def parse_expr(self) -> Node:
@@ -117,6 +124,9 @@ class _Parser:
         if nxt is None or nxt[1] != "(":
             return Name(value, pos)
         self.expect("(")
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ExprError("calls nest deeper than %d levels" % _MAX_DEPTH, pos)
         args = [self.parse_arg()]
         while True:
             tok = self.take()
@@ -125,6 +135,7 @@ class _Parser:
             if tok[1] != ",":
                 raise ExprError("expected ',' or ')', found %r" % tok[1], tok[2])
             args.append(self.parse_arg())
+        self.depth -= 1
         return Call(value, tuple(args), pos)
 
 

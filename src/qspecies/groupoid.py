@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .numeric import DomainError, EnumerationLimitError
+from .numeric import DomainError, charge, fraction_units, weight
 
 __all__ = [
     "Component",
@@ -30,8 +30,6 @@ __all__ = [
     "UNIT",
     "GRADED_EMPTY",
     "GRADED_UNIT",
-    "POWER_QUOTIENT_CAP",
-    "CLOSURE_CAP",
     "cardinality",
     "discrete",
     "cyclic",
@@ -42,10 +40,6 @@ __all__ = [
     "finite_from_json",
     "groupoid_from_json",
 ]
-
-POWER_QUOTIENT_CAP = 100_000
-CLOSURE_CAP = 10_000
-
 
 class Component(NamedTuple):
     """One connected component: object count and automorphism order."""
@@ -68,6 +62,11 @@ def _normalize(pairs: Iterable[tuple[Sequence[int], int]]) -> tuple[tuple[Compon
     return tuple(sorted(acc.items()))
 
 
+# work units of a product call beyond its pairs of components (its dicts,
+# sort and result), and of a component of a cardinality (a Fraction sum)
+_CALL_UNITS = 16
+_CARD_UNITS = fraction_units(0)
+
 # makes a Component from a valid pair without NamedTuple's Python-level __new__
 _new_component = tuple.__new__
 
@@ -85,6 +84,7 @@ def _trusted(acc: dict[tuple[int, int], int]) -> "FiniteGroupoid":
     g = FiniteGroupoid.__new__(FiniteGroupoid)
     g._parts = parts
     g._card = None
+    g._load = len(parts) * weight(max(acc.values()).bit_length())
     return g
 
 
@@ -99,14 +99,21 @@ def _add_product(acc: dict[tuple[int, int], int], left, right, m: int) -> None:
             acc[key] = acc.get(key, 0) + c * n2
 
 
+def _load(parts) -> int:
+    """Components weighted by the largest multiplicity: two loads multiply to
+    the units of a product.  Catalog rules charge large automorphism orders."""
+    return len(parts) * weight(max(n for _, n in parts).bit_length()) if parts else 0
+
+
 class FiniteGroupoid:
     """Multiset of components; the empty multiset is the empty groupoid."""
 
-    __slots__ = ("_parts", "_card")
+    __slots__ = ("_parts", "_card", "_load")
 
     def __init__(self, components: Iterable[Sequence[int]] = ()):
         self._parts = _normalize((c, 1) for c in components)
         self._card: Fraction | None = None
+        self._load = _load(self._parts)
 
     @classmethod
     def from_counts(
@@ -116,6 +123,7 @@ class FiniteGroupoid:
         g = cls.__new__(cls)
         g._parts = _normalize(items)
         g._card = None
+        g._load = _load(g._parts)
         return g
 
     @property
@@ -129,6 +137,7 @@ class FiniteGroupoid:
 
     def cardinality(self) -> Fraction:
         if self._card is None:
+            charge(_CARD_UNITS * self._load, "cardinality", None)
             total = Fraction(0)
             for comp, count in self._parts:
                 total += Fraction(count, comp.aut_order)
@@ -162,6 +171,7 @@ class FiniteGroupoid:
         return _trusted(acc)
 
     def product(self, other: "FiniteGroupoid") -> "FiniteGroupoid":
+        charge(self._load * other._load + _CALL_UNITS, "groupoid product", None)
         acc: dict[tuple[int, int], int] = {}
         _add_product(acc, self._parts, other._parts, 1)
         return _trusted(acc)
@@ -225,13 +235,14 @@ class GradedGroupoid:
     come from valid ones; product is its one-term case.
     """
 
-    __slots__ = ("pos", "neg")
+    __slots__ = ("pos", "neg", "_load")
 
     def __init__(self, pos: FiniteGroupoid = EMPTY, neg: FiniteGroupoid = EMPTY):
         if not isinstance(pos, FiniteGroupoid) or not isinstance(neg, FiniteGroupoid):
             raise DomainError("graded groupoid halves must be finite groupoids")
         self.pos = pos
         self.neg = neg
+        self._load = pos._load + neg._load
 
     @classmethod
     def positive(cls, g: "FiniteGroupoid | GradedGroupoid") -> "GradedGroupoid":
@@ -261,13 +272,18 @@ class GradedGroupoid:
 
     @staticmethod
     def sum_of_products(
-        terms: Iterable[tuple["GradedGroupoid", "GradedGroupoid", int]]
+        terms: Sequence[tuple["GradedGroupoid", "GradedGroupoid", int]]
     ) -> "GradedGroupoid":
         """Disjoint union over the (x, y, m) terms of m copies of x * y.
 
         One accumulation: every product count times m is added into one
         count dict per half, by the sign rule, and each half is built once.
+        All of its work, the loads' product per term, is charged first.
         """
+        work = _CALL_UNITS
+        for x, y, _ in terms:
+            work += x._load * y._load
+        charge(work, "product kernel", None)
         pos: dict[tuple[int, int], int] = {}
         neg: dict[tuple[int, int], int] = {}
         for x, y, m in terms:
@@ -350,7 +366,6 @@ def _identity(degree: int) -> tuple[int, ...]:
 def _closure(
     degree: int,
     generators: Sequence[tuple[int, ...]],
-    cap: int,
     within: "set[tuple[int, ...]] | None" = None,
 ) -> set[tuple[int, ...]]:
     """The group generated by permutations of 1..degree, by breadth-first closure.
@@ -358,8 +373,8 @@ def _closure(
     Starting from the identity, every element found is composed on the left
     with every generator until nothing new appears; for a finite set of
     permutations that is the generated group.  Raises DomainError as soon as
-    an element falls outside ``within`` (when given), and EnumerationLimitError
-    when the closure grows past ``cap`` elements.
+    an element falls outside ``within`` (when given).  Each round is charged
+    its compositions times the degree before it runs.
     """
     # (0,) + g maps each 1-based point to its image, so mapping p through it
     # gives g after p
@@ -367,6 +382,7 @@ def _closure(
     seen = {_identity(degree)}
     frontier = list(seen)
     while frontier:
+        charge(len(frontier) * len(lookups) * degree, "group closure", degree)
         nxt = []
         for p in frontier:
             for look in lookups:
@@ -376,8 +392,6 @@ def _closure(
                         raise DomainError("element list is not closed under composition")
                     seen.add(q)
                     nxt.append(q)
-                    if len(seen) > cap:
-                        raise EnumerationLimitError("group closure exceeds cap %d" % cap)
         frontier = nxt
     return seen
 
@@ -420,35 +434,33 @@ class GroupAction:
         for p in elems:
             if p not in group:
                 gens.append(p)
-                # the cap cannot trip: the closure stays inside eset or raises first
-                group = _closure(degree, gens, len(eset), within=eset)
+                group = _closure(degree, gens, within=eset)
         self.degree = degree
         self.elements = tuple(elems)
 
     @classmethod
-    def from_generators(
-        cls, degree: int, generators: Iterable[Sequence[int]], cap: int = CLOSURE_CAP
-    ) -> "GroupAction":
+    def from_generators(cls, degree: int, generators: Iterable[Sequence[int]]) -> "GroupAction":
         """Close a generator list under composition (breadth-first)."""
         gens = [tuple(int(v) for v in p) for p in generators]
         base = list(range(1, degree + 1))
         for g in gens:
             if sorted(g) != base:
                 raise DomainError("generator %r is not a permutation of 1..%d" % (g, degree))
-        return cls(degree, _closure(degree, gens, cap))
+        return cls(degree, _closure(degree, gens))
 
     @classmethod
     def symmetric(cls, degree: int) -> "GroupAction":
         if degree < 1:
             raise DomainError("symmetric group needs degree >= 1")
-        if math.factorial(degree) > CLOSURE_CAP:
-            raise EnumerationLimitError("symmetric group of degree %d is too large" % degree)
+        # degree! elements of degree points; 20! is past any budget
+        charge(math.factorial(min(degree, 20)) * degree, "symmetric group", degree)
         return cls(degree, itertools.permutations(range(1, degree + 1)))
 
     @classmethod
     def cyclic(cls, degree: int) -> "GroupAction":
         if degree < 1:
             raise DomainError("cyclic group needs degree >= 1")
+        charge(degree * degree, "cyclic group", degree)
         base = list(range(1, degree + 1))
         elems = [tuple(base[k:] + base[:k]) for k in range(degree)]
         return cls(degree, elems)
@@ -494,23 +506,23 @@ def quotient(action: GroupAction) -> FiniteGroupoid:
     return FiniteGroupoid.from_counts(acc)
 
 
-def power_quotient(
-    n: int, k: int, action: GroupAction, cap: int = POWER_QUOTIENT_CAP
-) -> FiniteGroupoid:
-    """Quotient of the tuple space {1..n}^k by a group permuting coordinates."""
+def power_quotient(n: int, k: int, action: GroupAction) -> FiniteGroupoid:
+    """Quotient of the tuple space {1..n}^k by a group permuting coordinates;
+    the tuple scan and each orbit are charged before they are listed."""
     if n < 1 or k < 1:
         raise DomainError("power quotient needs n >= 1 and k >= 1")
     if action.degree != k:
         raise DomainError("action degree %d does not match k=%d" % (action.degree, k))
-    if n ** k > cap:
-        raise EnumerationLimitError("power quotient: %d^%d exceeds cap %d" % (n, k, cap))
     elems = action.elements
     order = len(elems)
+    size = "%d^%d" % (n, k)
+    charge(k * n ** k, "power quotient", size)
     seen: set[tuple[int, ...]] = set()
     acc: dict[tuple[int, int], int] = {}
     for t in itertools.product(range(n), repeat=k):
         if t in seen:
             continue
+        charge(order * k, "power quotient", size)
         orbit = {tuple(t[p[i] - 1] for i in range(k)) for p in elems}
         seen |= orbit
         size = len(orbit)

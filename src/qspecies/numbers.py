@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import (
-    COMPOSITION_CAP,
     DomainError,
-    EnumerationLimitError,
+    charge,
     format_rational,
+    fraction_units,
+    weight,
 )
 from .egf import (
     Polynomial,
@@ -124,6 +125,8 @@ def bernoulli_recurrence(count: int) -> NumberTable:
     """
     values = [Fraction(1)]
     for n in range(1, count + 1):
+        # B_n holds about n log2(n) / 2 bits at these sizes
+        charge(2 * n * fraction_units(n * n.bit_length() // 2), "bernoulli recurrence", n)
         total = sum(math.comb(n + 1, k) * values[k] for k in range(n))
         values.append(Fraction(-total, n + 1))
     return NumberTable("bernoulli", "oracle", tuple(values))
@@ -143,16 +146,14 @@ def bernoulli_formula(count: int) -> NumberTable:
     multiplied by (a+1)! and the sign flipped.  Every row is reused by all
     larger sizes, so the table costs a polynomial number of integer
     multiply-adds.  B_n is n! times the sum of c/d over groups[n], taken
-    over the least common denominator.
+    over the least common denominator.  Each row is charged before it is built.
     """
-    if count > COMPOSITION_CAP:
-        raise EnumerationLimitError(
-            "composition formula: n=%d exceeds cap %d" % (count, COMPOSITION_CAP)
-        )
     fact = [math.factorial(i + 1) for i in range(count + 2)]
     groups: list[dict[int, int]] = [{1: 1}]
     values = [Fraction(1)]
     for n in range(1, count + 1):
+        adds = sum(len(groups[m]) for m in range(n))
+        charge(adds * weight(fact[n].bit_length()), "composition formula", n)
         row: dict[int, int] = {}
         for first in range(1, n + 1):
             for denom, c in groups[n - first].items():
@@ -180,9 +181,12 @@ def _generalized_inverse_species(f: Species, level: int) -> Species:
 
     if f.value((level,)) != GRADED_UNIT:
         raise DomainError("species must be the unit groupoid at size %d" % level)
-    shifted = f.hadamard(dec_fact(level))
-    for _ in range(level):
-        shifted = shifted.derivative()
+    _charge_level_factorial(level)
+    kept = f.hadamard(dec_fact(level))
+    # the level-fold derivative as one shift, not a chain of level species
+    shifted = Species(
+        1, lambda sizes: kept.value((sizes[0] + level,)), "d^%d/dx1^%d(%s)" % (level, level, kept.name)
+    )
     return geom_inverse(shifted.positive_part().replicate(math.factorial(level)))
 
 
@@ -203,11 +207,20 @@ def generalized_bernoulli_series(f: TruncatedEGF, level: int, count: int) -> Num
         raise DomainError(
             "series order %d too small for count %d at level %d" % (f.order, count, level)
         )
-    tail = f.sub(f.keep_below(level))
-    norm = tail.monomial_div(level).scalar_mul(math.factorial(level))
     return NumberTable(
-        _kind("bernoulli", level), "series", _coefficients(norm.reciprocal(), count)
+        _kind("bernoulli", level), "series", _coefficients(_tail(f, level).reciprocal(), count)
     )
+
+
+def _charge_level_factorial(level: int) -> None:
+    charge(weight(level * level.bit_length()) ** 2, "level factorial", level)
+
+
+def _tail(f: TruncatedEGF, level: int) -> TruncatedEGF:
+    """level! times the terms of f above degree level, divided by x^level."""
+    _charge_level_factorial(level)
+    tail = f.sub(f.keep_below(level))
+    return tail.monomial_div(level).scalar_mul(math.factorial(level))
 
 
 def bernoulli_species(count: int, level: int = 1) -> NumberTable:
@@ -226,6 +239,7 @@ def bernoulli_poly_classical(count: int) -> PolynomialTable:
     numbers = bernoulli_recurrence(count).values
     polys = []
     for n in range(count + 1):
+        charge(2 * (n + 1) * fraction_units(n * n.bit_length() // 2), "bernoulli polynomial sum", n)
         coeffs = [Fraction(0)] * (n + 1)
         for k in range(n + 1):
             coeffs[n - k] = math.comb(n, k) * numbers[k]
@@ -243,9 +257,7 @@ def bernoulli_poly_species(count: int, level: int = 1) -> PolynomialTable:
 
 
 def bernoulli_poly_series(count: int, level: int = 1) -> PolynomialTable:
-    f = exp_series(2 * count + level)
-    tail = f.sub(f.keep_below(level))
-    norm = tail.monomial_div(level).scalar_mul(math.factorial(level))
+    norm = _tail(exp_series(2 * count + level), level)
     two = diagonal_series(exp_series(count)).mul(promote_series(norm.reciprocal(), 2))
     return PolynomialTable(
         _kind("bernoulli-polynomials", level),
@@ -267,6 +279,8 @@ def euler_poly_recurrence(count: int) -> PolynomialTable:
     """Oracle recurrence: E_n(x) = x^n - (1/2) sum binom(n, k) E_k(x), k < n."""
     polys = [Polynomial([1])]
     for n in range(1, count + 1):
+        # n scalings and sums of n coefficients, sized as B_n
+        charge(2 * n * n * fraction_units(n * n.bit_length() // 2), "euler recurrence", n)
         acc = Polynomial([])
         for k in range(n):
             acc = acc + polys[k].scale(math.comb(n, k))

@@ -26,7 +26,7 @@ import weakref
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .numeric import DomainError, EnumerationLimitError, enumerate_set_partitions
+from .numeric import DomainError, EnumerationLimitError, charge, enumerate_set_partitions, fraction_units
 from .groupoid import (
     GRADED_EMPTY,
     GRADED_UNIT,
@@ -39,9 +39,6 @@ from .egf import TruncatedEGF, size_keys
 __all__ = [
     "Species",
     "SizeVector",
-    "PRODUCT_CAP",
-    "GEOM_INVERSE_CAP",
-    "COMPOSE_CAP",
     "constant_species",
     "zero_species",
     "one_species",
@@ -56,18 +53,18 @@ __all__ = [
     "geom_inverse_labeled",
 ]
 
-PRODUCT_CAP = 30
-GEOM_INVERSE_CAP = 25
-COMPOSE_CAP = 8
-
 SizeVector = tuple[int, ...]
+
+# work units of one split of the labels in a product
+_SPLIT_UNITS = 8
 
 
 class Species:
     """A rule from size vectors to graded groupoids, memoized.
 
     Memoization is semantically invisible: rules must be pure, and repeated
-    evaluation returns the same structure.
+    evaluation returns the same structure.  The innermost species a work
+    budget runs out in names itself in the error.
     """
 
     __slots__ = ("sorts", "name", "_rule", "_memo", "__weakref__")
@@ -90,12 +87,20 @@ class Species:
                 )
             if any(not isinstance(n, int) or n < 0 for n in key):
                 raise DomainError("sizes must be nonnegative integers, got %r" % (key,))
-            got = self._rule(key)
+            try:
+                got = self._rule(key)
+            except EnumerationLimitError as err:
+                _locate(err, self, key)
+                raise
             self._memo[key] = got
         return got
 
     def cardinality_at(self, sizes) -> Fraction:
-        return self.value(sizes).cardinality()
+        try:
+            return self.value(sizes).cardinality()
+        except EnumerationLimitError as err:
+            _locate(err, self, sizes)
+            raise
 
     def egf(self, order: int) -> TruncatedEGF:
         return egf_of(self, order)
@@ -200,10 +205,6 @@ class Species:
 
         def rule(sizes: SizeVector) -> GradedGroupoid:
             total = sum(sizes)
-            if total > COMPOSE_CAP:
-                raise EnumerationLimitError(
-                    "compose: total size %d exceeds cap %d" % (total, COMPOSE_CAP)
-                )
             terms = []
             for k in size_keys(self.sorts, total):
                 fv = self.value(k)
@@ -222,6 +223,13 @@ class Species:
 
     def __repr__(self) -> str:
         return "Species(%s, sorts=%d)" % (self.name, self.sorts)
+
+
+def _locate(err: EnumerationLimitError, f: Species, sizes) -> None:
+    """Name the innermost species the budget ran out in, and its size."""
+    if not err.in_species:
+        size = sizes[0] if not isinstance(sizes, int) and len(sizes) == 1 else sizes
+        err.in_species, err.node, err.size = True, f.name, size
 
 
 def _check_sorts(f: Species, g: Species, op: str) -> None:
@@ -250,9 +258,8 @@ def _binoms(sizes: SizeVector, sub: SizeVector) -> int:
 
 
 def _product_value(f: Species, g: Species, sizes: SizeVector) -> GradedGroupoid:
-    total = sum(sizes)
-    if total > PRODUCT_CAP:
-        raise EnumerationLimitError("prod: total size %d exceeds cap %d" % (total, PRODUCT_CAP))
+    # each split of the labels costs two lookups and a term, charged first
+    charge(_SPLIT_UNITS * math.prod(n + 1 for n in sizes), "product", None)
     terms = []
     for left in _subvectors(sizes):
         fv = f.value(left)
@@ -362,11 +369,6 @@ def geom_inverse(f: Species) -> Species:
     def rule(sizes: SizeVector) -> GradedGroupoid:
         if sizes == zero:
             return GRADED_UNIT
-        total = sum(sizes)
-        if total > GEOM_INVERSE_CAP:
-            raise EnumerationLimitError(
-                "geominv: total size %d exceeds cap %d" % (total, GEOM_INVERSE_CAP)
-            )
         return -_product_value(f, me, sizes)
 
     out._rule = rule
@@ -407,9 +409,11 @@ def binomial_power(a: int, b: int) -> Species:
 
 
 def egf_of(f: Species, order: int) -> TruncatedEGF:
-    """Cardinality table of f up to total size `order`."""
+    """Cardinality table of f up to total size `order`; each coefficient
+    is charged as one Fraction before any is computed."""
     if order < 0:
         raise DomainError("series order must be >= 0")
+    charge(fraction_units(0) * math.comb(order + f.sorts, f.sorts), f.name, order)
     coeffs = {key: f.cardinality_at(key) for key in size_keys(f.sorts, order)}
     return TruncatedEGF(f.sorts, order, coeffs)
 
@@ -439,6 +443,7 @@ def _vec_of(block: Iterable[int], tags: Sequence[int], sorts: int) -> SizeVector
 def product_labeled(f: Species, g: Species, sizes) -> GradedGroupoid:
     """Product by explicit enumeration of all label subsets (oracle)."""
     sizes = (sizes,) if isinstance(sizes, int) else tuple(sizes)
+    charge(1 << sum(sizes), "product oracle", sizes)
     terms = []
     for masks in itertools.product(*[range(1 << n) for n in sizes]):
         left = tuple(bin(m).count("1") for m in masks)
@@ -456,13 +461,12 @@ def compose_labeled(f: Species, inner: Sequence[Species], sizes) -> GradedGroupo
     """Composition by explicit partitions and block colorings (oracle)."""
     sizes = (sizes,) if isinstance(sizes, int) else tuple(sizes)
     total = sum(sizes)
-    if total > COMPOSE_CAP:
-        raise EnumerationLimitError("compose: total size %d exceeds cap %d" % (total, COMPOSE_CAP))
     s = f.sorts
     t = len(sizes)
     tags = _tags(sizes)
     terms = []
     for partition in enumerate_set_partitions(total):
+        charge(s ** len(partition) * len(partition), "compose oracle", sizes)
         vecs = [_vec_of(block, tags, t) for block in partition]
         for colors in itertools.product(range(s), repeat=len(partition)):
             counts = [0] * s
@@ -496,14 +500,11 @@ def geom_inverse_labeled(f: Species, sizes) -> GradedGroupoid:
     """Geometric inverse by explicit ordered set compositions (oracle)."""
     sizes = (sizes,) if isinstance(sizes, int) else tuple(sizes)
     total = sum(sizes)
-    if total > COMPOSE_CAP:
-        raise EnumerationLimitError(
-            "geominv oracle: total size %d exceeds cap %d" % (total, COMPOSE_CAP)
-        )
     t = len(sizes)
     tags = _tags(sizes)
     terms = []
     for blocks in _ordered_set_compositions(tuple(range(1, total + 1))):
+        charge(len(blocks), "geominv oracle", sizes)
         val = GRADED_UNIT
         for block in blocks:
             if val.is_empty:

@@ -1,7 +1,10 @@
 import json
+import os
+import resource
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -182,6 +185,32 @@ def test_egf_parse_error(capsys):
     assert err.startswith("error[parse]: position 8:")
 
 
+def test_egf_parse_depth(capsys):
+    # deep nesting is a parse error, not a RecursionError with a traceback
+    deep = "negate(" * 3000 + "Exp" + ")" * 3000
+    code, out, err = run(capsys, "egf", deep, "--order", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error[parse]:") and "nest deeper than 100" in err
+    assert len(err.splitlines()) == 1
+    # a hundred levels still evaluate
+    code, out, err = run(capsys, "egf", "negate(" * 100 + "Exp" + ")" * 100, "--order", "3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["coefficients"][3] == ["3", "1/1"]
+    code, _, err = run(capsys, "egf", "Group(%s)" % ("9" * 5000))
+    assert code == 2
+    assert err.startswith("error[parse]:") and "too long" in err
+
+
+def test_egf_long_rationals(capsys):
+    # one object with n^5000 automorphisms: coefficient 1/n^5000, printed in
+    # full far past the interpreter's 4300-digit limit on str(int)
+    code, out, err = run(capsys, "egf", "Zpow(5000)", "--order", "30", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = dict(line.split(",") for line in out.splitlines()[1:])
+    assert rows["10"] == "1/1" + "0" * 5000
+    assert rows["30"] == "1/" + str(3 ** 5000) + "0" * 5000
+
+
 def test_egf_unknown_name(capsys):
     code, _, err = run(capsys, "egf", "Mystery")
     assert code == 2
@@ -189,10 +218,74 @@ def test_egf_unknown_name(capsys):
 
 
 def test_egf_limit_error(capsys):
-    code, _, err = run(capsys, "egf", "prod(Exp,Exp)", "--order", "31")
-    assert code == 2
-    assert err.startswith("error[limit]:")
-    assert "prod" in err
+    # order 31 passed the old product cap; the budget refuses 300001
+    # coefficients before computing any
+    code, out, err = run(capsys, "egf", "prod(Exp,Exp)", "--order", "31")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["coefficients"][31] == ["31", "2147483648/1"]
+    code, out, err = run(capsys, "egf", "prod(Exp,Exp)", "--order", "300000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error[limit]: prod(Exp,Exp) at size 300000 needs 3000010 more work units")
+
+
+# inputs that once stalled, ran out of memory or were refused by a size cap
+BUDGET_PROBES = [
+    ["egf", "Spow(99999999)", "--order", "3"],
+    ["egf", "Spow(3)", "--order", "100000000"],
+    ["egf", "Exp", "--order", "3000000"],
+    ["egf", "XY", "--order", "3000"],
+    ["egf", "binpow(1,2)", "--order", "400"],
+    ["bernoulli", "--route", "series", "--order", "2000"],
+    ["euler", "--route", "formula", "--order", "3000"],
+    ["verify", "--trials", "100000000"],
+    ["verify", "--order", "100"],
+]
+
+
+def _check_limit_line(err: str) -> None:
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error[limit]: ")
+    # the node and its size, then the work spent against the budget
+    assert " needs " in lines[0] and " more work units with " in lines[0]
+    assert lines[0].endswith("-unit budget spent")
+
+
+@pytest.mark.parametrize("argv", BUDGET_PROBES, ids=lambda argv: " ".join(argv))
+def test_budget_probes(capsys, argv):
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - started < 10  # a loose stall guard
+    assert (code, out) == (2, "")
+    _check_limit_line(err)
+
+
+def test_budget_probe_huge_level():
+    # before the budget this filled memory; run it apart, with a memory limit
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qspecies.cli", "bernoulli", "--N", "100000", "--order", "2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    _check_limit_line(proc.stderr)
+    assert "level factorial at size 100000" in proc.stderr
+
+
+@pytest.mark.parametrize("order", ["26", "40"])
+def test_bernoulli_past_old_caps(capsys, order):
+    code, out, err = run(capsys, "bernoulli", "--order", order)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "MATCH"
+    assert payload["routes"]["formula"][26] == "8553103/6"
 
 
 def test_bernoulli_default_json(capsys):
@@ -257,8 +350,8 @@ def test_bernoulli_poly_all_routes(capsys):
 
 @pytest.mark.parametrize("command", ["bernoulli", "euler"])
 def test_poly_all_routes_order_13(capsys, command):
-    # the species route evaluates only the rows it returns, so order 13 stays
-    # under the geometric-inverse cap
+    # the species route evaluates only the rows it returns, the triangle
+    # a <= n <= 13 of the two-sort table
     code, out, err = run(capsys, command, "--poly", "--order", "13")
     assert (code, err) == (0, "")
     assert json.loads(out)["verdict"] == "MATCH"
@@ -333,6 +426,21 @@ def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, "verify", "--trials", "-5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error[domain]: --trials")
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    # a fault of the program is neither a verdict (1) nor bad input (2)
+    def broken(count):
+        raise KeyError("lost")
+
+    monkeypatch.setattr("qspecies.numbers.bernoulli_formula", broken)
+    code, out, err = run(capsys, "bernoulli", "--order", "4")
+    assert (code, out) == (3, "")
+    assert err == "error[internal]: KeyError: 'lost'\n"
 
 
 def test_missing_command_is_usage_error(capsys):

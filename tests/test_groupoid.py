@@ -23,7 +23,7 @@ from qspecies.groupoid import (
     power_quotient,
     quotient,
 )
-from qspecies.numeric import DomainError, EnumerationLimitError
+from qspecies.numeric import DomainError, EnumerationLimitError, work_meter
 
 
 def random_groupoid(rng, max_parts=4, max_entry=6, max_count=3):
@@ -235,11 +235,17 @@ def test_group_action_from_generators():
         GroupAction.from_generators(3, [(2, 2, 3)])  # not a permutation
 
 
-def test_group_action_closure_cap():
-    with pytest.raises(EnumerationLimitError):
-        GroupAction.from_generators(8, [(2, 1, 3, 4, 5, 6, 7, 8), (2, 3, 4, 5, 6, 7, 8, 1)], cap=100)
-    with pytest.raises(EnumerationLimitError):
-        GroupAction.symmetric(8)
+def test_group_action_closure_cap(small_budget):
+    # a transposition and an 8-cycle generate S8: 40320 elements, charged
+    # one round of the closure at a time
+    gens = [(2, 1, 3, 4, 5, 6, 7, 8), (2, 3, 4, 5, 6, 7, 8, 1)]
+    with work_meter(), pytest.raises(EnumerationLimitError, match="^group closure at size 8 needs"):
+        GroupAction.from_generators(8, gens)
+    # S12 is refused before any permutation is listed
+    with work_meter(), pytest.raises(EnumerationLimitError, match="^symmetric group at size 12 needs"):
+        GroupAction.symmetric(12)
+    with work_meter(), pytest.raises(EnumerationLimitError, match="^cyclic group at size 1000 needs"):
+        GroupAction.cyclic(1000)
 
 
 def test_orbits():
@@ -300,7 +306,8 @@ def test_power_quotient_validation():
         power_quotient(2, 3, GroupAction.symmetric(2))
     with pytest.raises(DomainError):
         power_quotient(0, 1, GroupAction.trivial(1))
-    with pytest.raises(EnumerationLimitError):
+    # the scan of 10^6 tuples of 3 coordinates is refused before it starts
+    with work_meter(), pytest.raises(EnumerationLimitError, match=r"^power quotient at size 100\^3 needs"):
         power_quotient(100, 3, GroupAction.symmetric(3))
 
 

@@ -23,7 +23,7 @@ from qspecies.numbers import (
     generalized_bernoulli_series,
     generalized_bernoulli_species,
 )
-from qspecies.numeric import DomainError, EnumerationLimitError, enumerate_compositions
+from qspecies.numeric import DomainError, EnumerationLimitError, work_meter
 
 # classical first-kind values, frozen
 BERNOULLI_HEAD = [
@@ -78,8 +78,19 @@ def test_formula_matches_recurrence():
         assert a.route == "formula" and b.route == "oracle"
 
 
+def _compositions(n):
+    """Every ordered tuple of positive integers summing to n, 2^(n-1) of them."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(n, 0, -1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
 def test_formula_matches_composition_enumeration():
     # the literal sum over every composition, independent of the grouped sum
+    assert list(_compositions(3)) == [(3,), (2, 1), (1, 2), (1, 1, 1)]
     values = bernoulli_formula(16).values
     for n in range(1, 17):
         literal = sum(
@@ -87,14 +98,17 @@ def test_formula_matches_composition_enumeration():
                 (-1) ** len(parts) * math.factorial(n),
                 math.prod(math.factorial(a + 1) for a in parts),
             )
-            for parts in enumerate_compositions(n)
+            for parts in _compositions(n)
         )
         assert values[n] == literal
 
 
-def test_formula_cap():
-    with pytest.raises(EnumerationLimitError):
-        bernoulli_formula(26)
+def test_formula_cap(small_budget):
+    # no size cap: n = 30 is past the old cap of 25
+    assert bernoulli_formula(30).matches(bernoulli_recurrence(30))
+    # inside a meter the dynamic program is charged row by row
+    with work_meter(), pytest.raises(EnumerationLimitError, match=r"^composition formula at size \d+ needs"):
+        bernoulli_formula(100)
 
 
 def test_species_route_head():

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qspecies import numeric
 from qspecies.numeric import (
     DomainError,
     EnumerationLimitError,
     binom_product,
-    enumerate_compositions,
+    charge,
     enumerate_set_partitions,
     falling_factorial,
     format_rational,
     multinomial,
     rising_factorial,
+    work_meter,
 )
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -56,6 +58,14 @@ def test_format_zero_and_negatives():
     assert format_rational(7) == "7/1"
 
 
+def test_format_long_rationals():
+    # past the interpreter's 4300-digit limit on str(int); the digits are
+    # known without converting the whole number
+    assert format_rational(Fraction(1, 10 ** 5000)) == "1/1" + "0" * 5000
+    assert format_rational(-(10 ** 9000 - 1)) == "-" + "9" * 9000 + "/1"
+    assert format_rational(Fraction(3 ** 2000 * 10 ** 6000, 7)) == str(3 ** 2000) + "0" * 6000 + "/7"
+
+
 def test_multinomial_matches_factorials():
     assert multinomial(5, (2, 2, 1)) == 30
     assert multinomial(0, ()) == 1
@@ -89,25 +99,6 @@ def test_rising_and_falling():
         rising_factorial(2, -1)
 
 
-def test_compositions_order_and_count():
-    assert list(enumerate_compositions(3)) == [(3,), (2, 1), (1, 2), (1, 1, 1)]
-    for n in range(1, 9):
-        comps = list(enumerate_compositions(n))
-        assert len(comps) == 2 ** (n - 1)
-        assert len(set(comps)) == len(comps)
-        assert all(sum(c) == n and all(p >= 1 for p in c) for c in comps)
-
-
-def test_compositions_validation():
-    with pytest.raises(DomainError):
-        list(enumerate_compositions(0))
-    with pytest.raises(EnumerationLimitError):
-        list(enumerate_compositions(26))
-    assert len(list(enumerate_compositions(5, cap=5))) == 16
-    with pytest.raises(EnumerationLimitError):
-        list(enumerate_compositions(6, cap=5))
-
-
 def test_set_partitions_against_bell_triangle():
     bells = bell_numbers(8)
     for n in range(9):
@@ -127,8 +118,29 @@ def test_set_partitions_empty_set():
     assert list(enumerate_set_partitions(0)) == [()]
 
 
-def test_set_partitions_cap():
-    with pytest.raises(EnumerationLimitError):
-        list(enumerate_set_partitions(11))
+def test_set_partitions_cap(small_budget):
+    # each partition is charged before it is yielded: Bell(9) = 21147
+    # partitions of 9 labels need 190323 units, past the 20000 of the test
+    with work_meter(), pytest.raises(EnumerationLimitError, match="^set partitions at size 9 needs 9 more"):
+        list(enumerate_set_partitions(9))
     with pytest.raises(DomainError):
         list(enumerate_set_partitions(-1))
+
+
+def test_work_meter(small_budget):
+    # outside a meter work is free
+    charge(10 ** 9, "free", 1)
+    with work_meter():
+        charge(15_000, "first", 1)
+        with pytest.raises(EnumerationLimitError) as info:
+            charge(6_000, "kernel", 7)
+        err = info.value
+        assert (err.node, err.size, err.spent, err.needed) == ("kernel", 7, 15_000, 6_000)
+        assert str(err) == "kernel at size 7 needs 6000 more work units with 15000 of the 20000-unit budget spent"
+        # a refused charge is not spent; a nested meter starts from zero
+        charge(5_000, "last", 1)
+        with work_meter():
+            charge(20_000, "inner", 1)
+        with pytest.raises(EnumerationLimitError, match="^outer needs 1 more"):
+            charge(1, "outer", None)
+    assert numeric._meter.get() is None

@@ -14,11 +14,8 @@ from qspecies.groupoid import (
     discrete,
 )
 from qspecies.egf import size_keys
-from qspecies.numeric import DomainError, EnumerationLimitError
+from qspecies.numeric import DomainError, EnumerationLimitError, work_meter
 from qspecies.species import (
-    COMPOSE_CAP,
-    GEOM_INVERSE_CAP,
-    PRODUCT_CAP,
     Species,
     _divide_exact,
     binomial_power,
@@ -128,10 +125,13 @@ def test_product_labeled_two_sorts():
             assert fast.value((a, b)) == product_labeled(f, g, (a, b))
 
 
-def test_product_cap():
+def test_product_cap(small_budget):
+    # no size cap: total size 31 is a plain value (2^31 ordered pairs of sets)
     f = exp_species() * exp_species()
-    with pytest.raises(EnumerationLimitError, match="prod"):
-        f.value(PRODUCT_CAP + 1)
+    assert f.cardinality_at(31) == 2 ** 31
+    # the work budget names the species and the size it ran out at
+    with work_meter(), pytest.raises(EnumerationLimitError, match=r"^prod\(Exp,Exp\) at size \d+ needs"):
+        egf_of(f, 200)
 
 
 def test_hadamard_multiplies_values():
@@ -239,12 +239,16 @@ def test_compose_division_is_exact():
         _divide_exact(g, 4)
 
 
-def test_compose_cap():
+def test_compose_cap(small_budget):
+    # no size cap: Exp(Exp+) counts set partitions, Bell(12) of them at 12
     f = exp_species().compose(exp_pos())
-    with pytest.raises(EnumerationLimitError, match="compose"):
-        f.value(COMPOSE_CAP + 1)
-    with pytest.raises(EnumerationLimitError, match="compose"):
-        compose_labeled(exp_species(), [exp_pos()], COMPOSE_CAP + 1)
+    assert f.cardinality_at(12) == 4213597
+    pos2 = exp_species(sorts=2).positive_part()
+    two = exp_species(sorts=2).compose(pos2, pos2)
+    with work_meter(), pytest.raises(EnumerationLimitError, match=r"at size \(\d+, \d+\) needs"):
+        egf_of(two, 20)
+    with work_meter(), pytest.raises(EnumerationLimitError, match="needs"):
+        compose_labeled(exp_species(), [exp_pos()], 12)
 
 
 def test_call_is_compose():
@@ -317,12 +321,14 @@ def test_geom_inverse_requires_positive():
         geom_inverse(exp_species())
 
 
-def test_geom_inverse_cap():
+def test_geom_inverse_cap(small_budget):
+    # no size cap: 1/(1 + (e^x - 1)) = e^-x at size 26, past the old cap of 25
+    assert geom_inverse(exp_pos()).cardinality_at(26) == 1
     inv = geom_inverse(exp_pos())
-    with pytest.raises(EnumerationLimitError, match="geominv"):
-        inv.value(GEOM_INVERSE_CAP + 1)
-    with pytest.raises(EnumerationLimitError, match="geominv"):
-        geom_inverse_labeled(exp_pos(), COMPOSE_CAP + 1)
+    with work_meter(), pytest.raises(EnumerationLimitError, match=r"^geominv\(pospart\(Exp\)\) at size \d+ needs \d+ more work units with \d+ of the 20000-unit budget spent$"):
+        egf_of(inv, 200)
+    with work_meter(), pytest.raises(EnumerationLimitError, match="needs"):
+        geom_inverse_labeled(exp_pos(), 12)
 
 
 def test_scaled_reciprocal_law():
@@ -392,8 +398,6 @@ def test_substitute_xy_equals_compose_with_xy():
         via_compose = f.compose(xy_species())
         for a in range(5):
             for b in range(5):
-                if a + b > COMPOSE_CAP:
-                    continue
                 assert diag.value((a, b)) == via_compose.value((a, b))
 
 
