@@ -181,7 +181,7 @@ def _generalized_inverse_species(f: Species, level: int) -> Species:
 
     if f.value((level,)) != GRADED_UNIT:
         raise DomainError("species must be the unit groupoid at size %d" % level)
-    _charge_level_factorial(level)
+    charge(weight(level * level.bit_length()) ** 2, "level factorial", level)
     kept = f.hadamard(dec_fact(level))
     # the level-fold derivative as one shift, not a chain of level species
     shifted = Species(
@@ -212,13 +212,9 @@ def generalized_bernoulli_series(f: TruncatedEGF, level: int, count: int) -> Num
     )
 
 
-def _charge_level_factorial(level: int) -> None:
-    charge(weight(level * level.bit_length()) ** 2, "level factorial", level)
-
-
 def _tail(f: TruncatedEGF, level: int) -> TruncatedEGF:
     """level! times the terms of f above degree level, divided by x^level."""
-    _charge_level_factorial(level)
+    charge(weight(level * level.bit_length()) ** 2, "level factorial", level)
     tail = f.sub(f.keep_below(level))
     return tail.monomial_div(level).scalar_mul(math.factorial(level))
 

@@ -242,10 +242,6 @@ def _require_positive_part(f: Species, op: str) -> None:
         raise DomainError("%s: species must be empty at size zero" % op)
 
 
-def _subvectors(sizes: SizeVector) -> Iterator[SizeVector]:
-    return itertools.product(*[range(n + 1) for n in sizes])
-
-
 def _vec_sub(a: SizeVector, b: SizeVector) -> SizeVector:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -259,9 +255,10 @@ def _binoms(sizes: SizeVector, sub: SizeVector) -> int:
 
 def _product_value(f: Species, g: Species, sizes: SizeVector) -> GradedGroupoid:
     # each split of the labels costs two lookups and a term, charged first
-    charge(_SPLIT_UNITS * math.prod(n + 1 for n in sizes), "product", None)
+    ranges = [range(n + 1) for n in sizes]
+    charge(_SPLIT_UNITS * math.prod(map(len, ranges)), "product", None)
     terms = []
-    for left in _subvectors(sizes):
+    for left in itertools.product(*ranges):
         fv = f.value(left)
         if fv.is_empty:
             continue

@@ -139,6 +139,24 @@ def test_sum_of_products_matches_replicated_products():
         GradedGroupoid.sum_of_products([(GRADED_UNIT, GRADED_UNIT, -1)])
 
 
+def test_products_are_charged_before_they_run(small_budget):
+    # 150 components a side: 22500 pairs, past the 20000 units of the test
+    wide = FiniteGroupoid.from_counts({(1, a): 1 for a in range(1, 151)})
+    graded = GradedGroupoid(wide)
+    # multiplicities of 301 bits weigh 2 per factor: 70 x 70 pairs cost 19600
+    heavy = GradedGroupoid(FiniteGroupoid.from_counts({(1, a): 2 ** 300 for a in range(1, 71)}))
+    square = heavy * heavy  # outside a meter work is free
+    with work_meter():
+        with pytest.raises(EnumerationLimitError, match="^groupoid product needs 22516 more"):
+            wide * wide
+        with pytest.raises(EnumerationLimitError, match="^product kernel needs 22516 more"):
+            GradedGroupoid.sum_of_products([(graded, graded, 1)])
+        with pytest.raises(EnumerationLimitError, match="^product kernel needs 39216 more"):
+            GradedGroupoid.sum_of_products([(heavy, heavy, 1), (heavy, heavy, 2)])
+        # refused charges were not spent: 19616 units still fit
+        assert GradedGroupoid.sum_of_products([(heavy, heavy, 1)]) == square
+
+
 def test_graded_no_cancellation():
     g = GradedGroupoid(discrete(2), discrete(2))
     assert g.cardinality() == 0
