@@ -515,14 +515,13 @@ def power_quotient(n: int, k: int, action: GroupAction) -> FiniteGroupoid:
         raise DomainError("action degree %d does not match k=%d" % (action.degree, k))
     elems = action.elements
     order = len(elems)
-    size = "%d^%d" % (n, k)
-    charge(k * n ** k, "power quotient", size)
+    charge(k * n ** k, "power quotient", None)
     seen: set[tuple[int, ...]] = set()
     acc: dict[tuple[int, int], int] = {}
     for t in itertools.product(range(n), repeat=k):
         if t in seen:
             continue
-        charge(order * k, "power quotient", size)
+        charge(order * k, "power quotient", None)
         orbit = {tuple(t[p[i] - 1] for i in range(k)) for p in elems}
         seen |= orbit
         size = len(orbit)

@@ -49,7 +49,6 @@ class EnumerationLimitError(RuntimeError):
     def __init__(self, node: str, size, spent: int, needed: int):
         super().__init__(node, size, spent, needed)
         self.node, self.size, self.spent, self.needed = node, size, spent, needed
-        self.in_species = False
 
     def __str__(self) -> str:
         where = self.node if self.size is None else "%s at size %s" % (self.node, self.size)

@@ -226,10 +226,10 @@ class Species:
 
 
 def _locate(err: EnumerationLimitError, f: Species, sizes) -> None:
-    """Name the innermost species the budget ran out in, and its size."""
-    if not err.in_species:
-        size = sizes[0] if not isinstance(sizes, int) and len(sizes) == 1 else sizes
-        err.in_species, err.node, err.size = True, f.name, size
+    """Name the innermost species a kernel ran out of budget in, and its size."""
+    if err.size is None:
+        one = not isinstance(sizes, int) and len(sizes) == 1
+        err.node, err.size = f.name, sizes[0] if one else sizes
 
 
 def _check_sorts(f: Species, g: Species, op: str) -> None:
