@@ -30,7 +30,7 @@ __all__ = [
     "enumerate_set_partitions",
 ]
 
-# the work one command may spend, in units (about a second of work)
+# the work one command may spend, in units
 WORK_BUDGET = 2_200_000
 
 # operand bits per unit of weight, and units per operation on small Fractions
@@ -104,7 +104,7 @@ def _decimal(n: int) -> str:
     interpreter's digit limit, so long ones are split at a power of ten."""
     if n < 0:
         return "-" + _decimal(-n)
-    if n.bit_length() < 13_000:  # about 3900 digits, under the default 4300
+    if n.bit_length() < 2_000:  # 603 digits at most: under any limit (>= 640)
         return str(n)
     half = n.bit_length() * 3 // 20  # about half the digits
     high, low = divmod(n, 10 ** half)
