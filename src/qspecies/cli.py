@@ -8,6 +8,7 @@ All output is deterministic; rationals are always "p/q".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -19,9 +20,18 @@ from . import numbers
 from .verify import run_suites
 
 
+class InputError(Exception):
+    """A file that does not read as UTF-8 JSON."""
+
+
 def _cmd_card(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+        try:
+            obj = json.load(handle)
+        except ValueError as err:
+            # bad UTF-8 or JSON, or an integer past the interpreter's digit
+            # limit, which json reports as a plain ValueError
+            raise InputError(err) from None
     print(format_rational(cardinality(groupoid_from_json(obj))))
     return 0
 
@@ -163,7 +173,10 @@ def _cmd_verify(args) -> int:
     return 0 if bad == 0 else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it
+    unchanged and returns a fresh Namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="qspecies",
         description="Exact rational cardinalities of groupoid-valued species.",
@@ -223,7 +236,7 @@ def main(argv=None) -> int:
     except DomainError as err:
         print("error[domain]: %s" % err, file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as err:
+    except (InputError, OSError) as err:
         print("error[input]: %s" % err, file=sys.stderr)
         return 2
     except Exception as err:  # a fault of the program, never a verdict

@@ -7,8 +7,9 @@ Component multiplicities are bignums, never expanded lists, because replicated
 unions grow multinomially fast.  All values are immutable and hashable.
 
 Cardinality assigns each component 1/aut_order (one isomorphism class per
-component) and adds up; a graded pair (pos, neg) has cardinality
-|pos| - |neg|, which is how negative rationals arise.
+component) and adds up, as one integer sum over the least common multiple of
+the automorphism orders and a single Fraction; a graded pair (pos, neg) has
+cardinality |pos| - |neg|, which is how negative rationals arise.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def _normalize(pairs: Iterable[tuple[Sequence[int], int]]) -> tuple[tuple[Compon
 
 
 # work units of a product call beyond its pairs of components (its dicts,
-# sort and result), and of a component of a cardinality (a Fraction sum)
+# sort and result), and of a component of a cardinality (priced as a
+# Fraction addition)
 _CALL_UNITS = 16
 _CARD_UNITS = fraction_units(0)
 
@@ -138,10 +140,11 @@ class FiniteGroupoid:
     def cardinality(self) -> Fraction:
         if self._card is None:
             charge(_CARD_UNITS * self._load, "cardinality", None)
-            total = Fraction(0)
-            for comp, count in self._parts:
-                total += Fraction(count, comp.aut_order)
-            self._card = total
+            # one sum over a common denominator: a gcd per component is most
+            # of the cost of adding Fractions one at a time
+            den = math.lcm(*[a for (_, a), _ in self._parts])
+            num = sum(n * (den // a) for (_, a), n in self._parts)
+            self._card = Fraction(num, den)
         return self._card
 
     def disjoint_union(self, other: "FiniteGroupoid") -> "FiniteGroupoid":

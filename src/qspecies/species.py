@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import weakref
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -32,6 +33,7 @@ from .groupoid import (
     GRADED_UNIT,
     FiniteGroupoid,
     GradedGroupoid,
+    _trusted,
     increasing_factorial,
 )
 from .egf import TruncatedEGF, size_keys
@@ -186,6 +188,7 @@ class Species:
             if g.sorts != t:
                 raise DomainError("compose: inner species must share a sort count")
             _require_positive_part(g, "compose")
+        name = "compose(%s,%s)" % (self.name, ",".join(g.name for g in inner))
         powers = {(0,) * self.sorts: one_species(t)}
 
         def power(k: SizeVector) -> Species:
@@ -200,6 +203,8 @@ class Species:
                     nxt = powers.get(key)
                     if nxt is None:
                         nxt = powers[key] = got * inner[i]
+                        # named by its exponents, not by the chain of products
+                        nxt.name = "power(%s) of %s" % (",".join(map(str, key)), name)
                     got = nxt
             return got
 
@@ -216,8 +221,7 @@ class Species:
                 terms.append((fv, _divide_exact(pv, math.prod(map(math.factorial, k))), 1))
             return GradedGroupoid.sum_of_products(terms)
 
-        inner_names = ",".join(g.name for g in inner)
-        return Species(t, rule, "compose(%s,%s)" % (self.name, inner_names))
+        return Species(t, rule, name)
 
     __call__ = compose
 
@@ -246,26 +250,28 @@ def _vec_sub(a: SizeVector, b: SizeVector) -> SizeVector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _binoms(sizes: SizeVector, sub: SizeVector) -> int:
-    out = 1
-    for n, k in zip(sizes, sub):
-        out *= math.comb(n, k)
-    return out
-
-
 def _product_value(f: Species, g: Species, sizes: SizeVector) -> GradedGroupoid:
     # each split of the labels costs two lookups and a term, charged first
     ranges = [range(n + 1) for n in sizes]
     charge(_SPLIT_UNITS * math.prod(map(len, ranges)), "product", None)
+    # memo hits skip Species.value; misses go through it, so a limit error
+    # still names the innermost species
+    fmemo, gmemo = f._memo, g._memo
+    rows = [[math.comb(n, k) for k in range(n + 1)] for n in sizes]
     terms = []
-    for left in itertools.product(*ranges):
-        fv = f.value(left)
-        if fv.is_empty:
+    for left, binoms in zip(itertools.product(*ranges), itertools.product(*rows)):
+        fv = fmemo.get(left)
+        if fv is None:
+            fv = f.value(left)
+        if not fv._load:  # both halves empty
             continue
-        gv = g.value(_vec_sub(sizes, left))
-        if gv.is_empty:
+        right = tuple(map(operator.sub, sizes, left))
+        gv = gmemo.get(right)
+        if gv is None:
+            gv = g.value(right)
+        if not gv._load:
             continue
-        terms.append((fv, gv, _binoms(sizes, left)))
+        terms.append((fv, gv, math.prod(binoms)))
     return GradedGroupoid.sum_of_products(terms)
 
 
@@ -279,15 +285,15 @@ def _divide_exact(g: GradedGroupoid, d: int) -> GradedGroupoid:
         return g
     halves = []
     for half in (g.pos, g.neg):
-        counts = []
+        counts = {}
         for comp, count in half.parts:
             quot, rem = divmod(count, d)
             if rem:
                 raise ArithmeticError(
                     "multiplicity %d of %r is not divisible by %d" % (count, comp, d)
                 )
-            counts.append((comp, quot))
-        halves.append(FiniteGroupoid.from_counts(counts))
+            counts[comp] = quot
+        halves.append(_trusted(counts))
     return GradedGroupoid(*halves)
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import qspecies
 from qspecies.cli import main
 from qspecies.numbers import NumberTable
 
@@ -113,6 +114,23 @@ def test_card_non_utf8_file(capsys, tmp_path):
     code, out, err = run(capsys, "card", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error[input]:")
+
+
+def test_card_integer_past_digit_limit(capsys, tmp_path):
+    # json reads a 5000-digit integer as a plain ValueError, not a decode error
+    path = tmp_path / "huge.json"
+    path.write_text('{"components": [[1, %s]]}' % ("9" * 5000))
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no integer digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever the environment sets
+    try:
+        code, out, err = run(capsys, "card", str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err.startswith("error[input]:") and "4300 digits" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_egf_json_default_order(capsys):
@@ -226,6 +244,18 @@ def test_egf_limit_error(capsys):
     code, out, err = run(capsys, "egf", "prod(Exp,Exp)", "--order", "300000")
     assert (code, out) == (2, "")
     assert err.startswith("error[limit]: prod(Exp,Exp) at size 300000 needs 3000010 more work units")
+
+
+def test_compose_limit_names_power_briefly(capsys):
+    # a power species is named by its exponents and its compose, not by the
+    # chain of products that builds it
+    expr = "compose(Exp2,pospart(Exp2),pospart(Exp2))"
+    code, out, err = run(capsys, "egf", expr, "--order", "30")
+    assert (code, out) == (2, "")
+    _check_limit_line(err)
+    assert len(err.rstrip("\n")) < 200
+    assert err.startswith("error[limit]: power(") and " of %s at size " % expr in err
+    assert "prod(" not in err
 
 
 # inputs that once stalled, ran out of memory or were refused by a size cap
@@ -443,6 +473,22 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert err == "error[internal]: KeyError: 'lost'\n"
 
 
+def test_main_calls_share_no_parsed_state(capsys):
+    # the parser is built once per process; each call parses from scratch
+    code, out, _ = run(capsys, "bernoulli", "--poly", "--order", "3")
+    payload = json.loads(out)
+    assert (code, payload["kind"], payload["order"]) == (0, "bernoulli-polynomials", 3)
+    assert payload["routes"]["formula"][1] == ["-1/2", "1/1"]
+    code, out, _ = run(capsys, "bernoulli")
+    payload = json.loads(out)
+    assert (code, payload["kind"], payload["order"]) == (0, "bernoulli", 10)
+    assert payload["routes"]["formula"][:3] == ["1/1", "-1/2", "1/6"]
+    code, out, _ = run(capsys, "egf", "X", "--order", "3")
+    assert (code, json.loads(out)["order"]) == (0, 3)
+    code, out, _ = run(capsys, "egf", "X")
+    assert (code, json.loads(out)["order"]) == (0, 20)
+
+
 def test_missing_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -452,8 +498,13 @@ def test_missing_command_is_usage_error(capsys):
 def test_console_script_subprocess(groupoid_file):
     exe = shutil.which("qspecies")
     cmd = [exe] if exe else [sys.executable, "-m", "qspecies.cli"]
+    # the module runs from the copy these tests import, also when only
+    # pytest's own path setting points at it
+    src = os.path.dirname(os.path.dirname(qspecies.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     proc = subprocess.run(
-        cmd + ["card", groupoid_file], capture_output=True, text=True, timeout=120
+        cmd + ["card", groupoid_file], capture_output=True, text=True, timeout=120, env=env
     )
     assert proc.returncode == 0
     assert proc.stdout == "3/2\n"

@@ -23,6 +23,7 @@ from qspecies.groupoid import (
     power_quotient,
     quotient,
 )
+from qspecies import numeric
 from qspecies.numeric import DomainError, EnumerationLimitError, work_meter
 
 
@@ -68,6 +69,55 @@ def test_every_positive_rational_is_reached():
                 continue
             g = group_of_order(b).replicate(a)
             assert g.cardinality() == Fraction(a, b)
+
+
+def _naive_cardinality(g):
+    total = Fraction(0)
+    for comp, count in g.parts:
+        total += Fraction(count, comp.aut_order)
+    return total
+
+
+def test_cardinality_equals_the_per_component_sum():
+    rng = random.Random(1729)
+    cases = [EMPTY, UNIT]
+    cases += [random_groupoid(rng, max_parts=12, max_entry=60, max_count=10**6) for _ in range(300)]
+    # pairwise coprime automorphism orders: the common denominator is their product
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    cases.append(FiniteGroupoid.from_counts({(1, p): p - 1 for p in primes}))
+    cases.append(FiniteGroupoid.from_counts({(k, p ** k): k for k, p in enumerate(primes, 1)}))
+    # factorial-sized orders, which share most of their factors
+    cases.append(
+        FiniteGroupoid.from_counts({(1, math.factorial(n)): rng.randrange(1, 10**9) for n in range(1, 40)})
+    )
+    # multiplicities of more than 2000 bits, over coprime and factorial orders
+    cases.append(FiniteGroupoid.from_counts({(1, p): rng.getrandbits(2100) | 1 for p in primes}))
+    cases.append(
+        FiniteGroupoid.from_counts({(2, math.factorial(n)): rng.getrandbits(4000) for n in range(1, 25)})
+    )
+    for g in cases:
+        assert g.cardinality() == _naive_cardinality(g), g
+    assert EMPTY.cardinality() == 0 and EMPTY.cardinality().denominator == 1
+    graded = GradedGroupoid(cases[-1], cases[-2])
+    assert graded.cardinality() == _naive_cardinality(cases[-1]) - _naive_cardinality(cases[-2])
+
+
+def test_cardinality_charges_one_fraction_per_component_once():
+    # 10 units per component, times the weight of the largest multiplicity:
+    # 2100 bits weigh 1 + 2100 // 256 = 9
+    small = FiniteGroupoid([(1, 2), (1, 3), (2, 5)])
+    heavy = FiniteGroupoid.from_counts({(1, 2): 2 ** 2099, (1, 3): 1})
+    with work_meter():
+        spent = numeric._meter.get()
+        assert EMPTY.cardinality() == 0 and spent[0] == 0
+        assert small.cardinality() == Fraction(1, 2) + Fraction(1, 3) + Fraction(1, 5)
+        assert spent[0] == 30
+        assert heavy.cardinality() == Fraction(2 ** 2099, 2) + Fraction(1, 3)
+        assert spent[0] == 30 + 180
+        # the value is kept: asking again costs nothing
+        heavy.cardinality()
+        small.cardinality()
+        assert spent[0] == 210
 
 
 def test_cardinality_is_additive_and_multiplicative():

@@ -134,6 +134,21 @@ def test_product_cap(small_budget):
         egf_of(f, 200)
 
 
+def test_product_reads_warm_memos_and_names_a_miss(small_budget):
+    # memo hits are read directly; a miss still runs Species.value, so the
+    # budget names the innermost species it runs out in
+    inner = geom_inverse(cyc_pow(1).positive_part())
+    for n in range(6):
+        inner.value(n)
+    f = exp_species() * inner
+    for n in range(8):
+        assert f.value(n) == product_labeled(exp_species(), inner, n)
+    with work_meter(), pytest.raises(
+        EnumerationLimitError, match=r"^geominv\(pospart\(Zpow\(1\)\)\) at size \d+ needs"
+    ):
+        f.value(60)
+
+
 def test_hadamard_multiplies_values():
     f = cyc_pow(1).hadamard(cyc_pow(2))
     assert f.value(4).pos == FiniteGroupoid([(1, 4 * 16)])
