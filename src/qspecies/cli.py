@@ -17,7 +17,7 @@ from .groupoid import cardinality, groupoid_from_json
 from .species import egf_of
 from .expr import ExprError, build, parse
 from . import numbers
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 
 class InputError(Exception):
@@ -28,10 +28,15 @@ def _cmd_card(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except ValueError as err:
-            # bad UTF-8 or JSON, or an integer past the interpreter's digit
-            # limit, which json reports as a plain ValueError
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise InputError(err) from None
+        except ValueError:
+            # json reports an integer past the interpreter's digit limit as a
+            # plain ValueError, whose advice is for programmers
+            raise InputError(
+                "an integer in the file exceeds the limit of %d digits"
+                % sys.get_int_max_str_digits()
+            ) from None
     print(format_rational(cardinality(groupoid_from_json(obj))))
     return 0
 
@@ -49,46 +54,6 @@ def _cmd_egf(args) -> int:
         for key, value in series.to_pairs():
             print("%s,%s" % (key, value))
     return 0
-
-
-def _bernoulli_routes(level: int) -> list[str]:
-    return ["species", "series", "formula"] if level == 1 else ["species", "series"]
-
-
-def _bernoulli_table(route: str, count: int, level: int):
-    if route == "species":
-        return numbers.bernoulli_species(count, level)
-    if route == "series":
-        return numbers.bernoulli_series(count, level)
-    if level != 1:
-        raise DomainError("route 'formula' is defined for N=1 only")
-    return numbers.bernoulli_formula(count)
-
-
-def _bernoulli_poly_table(route: str, count: int, level: int):
-    if route == "species":
-        return numbers.bernoulli_poly_species(count, level)
-    if route == "series":
-        return numbers.bernoulli_poly_series(count, level)
-    if level != 1:
-        raise DomainError("route 'formula' is defined for N=1 only")
-    return numbers.bernoulli_poly_classical(count)
-
-
-def _euler_table(route: str, count: int):
-    if route == "species":
-        return numbers.euler_species(count)
-    if route == "series":
-        return numbers.euler_series(count)
-    return numbers.euler_recurrence(count)
-
-
-def _euler_poly_table(route: str, count: int):
-    if route == "species":
-        return numbers.euler_poly_species(count)
-    if route == "series":
-        return numbers.euler_poly_series(count)
-    return numbers.euler_poly_recurrence(count)
 
 
 def _table_payload(table) -> list:
@@ -132,29 +97,14 @@ def _emit_tables(args, kind: str, tables: dict[str, object]) -> int:
     return 0 if verdict == "MATCH" else 1
 
 
-def _cmd_bernoulli(args) -> int:
+def _cmd_table(args) -> int:
     if args.N < 1:
         raise DomainError("--N must be >= 1")
     if args.order < 0:
         raise DomainError("--order must be >= 0")
-    routes = _bernoulli_routes(args.N) if args.route == "all" else [args.route]
-    if args.poly:
-        tables = {r: _bernoulli_poly_table(r, args.order, args.N) for r in routes}
-        kind = tables[routes[0]].kind
-    else:
-        tables = {r: _bernoulli_table(r, args.order, args.N) for r in routes}
-        kind = tables[routes[0]].kind
-    return _emit_tables(args, kind, tables)
-
-
-def _cmd_euler(args) -> int:
-    if args.order < 0:
-        raise DomainError("--order must be >= 0")
-    routes = ["species", "series", "formula"] if args.route == "all" else [args.route]
-    if args.poly:
-        tables = {r: _euler_poly_table(r, args.order) for r in routes}
-    else:
-        tables = {r: _euler_table(r, args.order) for r in routes}
+    kind = args.command + ("-polynomials" if args.poly else "")
+    routes = numbers.routes(kind, args.N) if args.route == "all" else [args.route]
+    tables = {r: numbers.route_table(kind, r, args.order, args.N) for r in routes}
     return _emit_tables(args, tables[routes[0]].kind, tables)
 
 
@@ -193,27 +143,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_egf)
 
-    p = sub.add_parser("bernoulli", help="Bernoulli number and polynomial tables")
-    p.add_argument("--order", type=int, default=10, help="largest index n")
-    p.add_argument("--N", type=int, default=1, help="level of the generalized family")
-    p.add_argument("--route", choices=["species", "series", "formula", "all"], default="all")
-    p.add_argument("--poly", action="store_true", help="polynomials instead of numbers")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_bernoulli)
-
-    p = sub.add_parser("euler", help="Euler number and polynomial tables")
-    p.add_argument("--order", type=int, default=10, help="largest index n")
-    p.add_argument("--route", choices=["species", "series", "formula", "all"], default="all")
-    p.add_argument("--poly", action="store_true", help="polynomials instead of numbers")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_euler)
+    for kind in ("bernoulli", "euler"):
+        p = sub.add_parser(kind, help="%s number and polynomial tables" % kind.capitalize())
+        p.add_argument("--order", type=int, default=10, help="largest index n")
+        if kind == "bernoulli":
+            p.add_argument("--N", type=int, default=1, help="level of the generalized family")
+        p.add_argument("--route", choices=list(numbers.ROUTES[kind]) + ["all"], default="all")
+        p.add_argument("--poly", action="store_true", help="polynomials instead of numbers")
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.set_defaults(func=_cmd_table, N=1)
 
     p = sub.add_parser("verify", help="run randomized law-checking suites")
-    p.add_argument(
-        "--suite",
-        choices=["valuation", "inverse", "quotient", "factorial", "all"],
-        default="all",
-    )
+    p.add_argument("--suite", choices=list(SUITES) + ["all"], default="all")
     p.add_argument("--order", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)

@@ -1,17 +1,20 @@
 """Bernoulli and Euler numbers and polynomials, each by independent routes.
 
-Routes:
+`ROUTES` lists every route of every kind, in the order the command line
+prints them:
 
 * "species"  - cardinality tables of groupoid-valued species built from the
-  alternating geometric inverse.
-* "series"   - truncated-series arithmetic (monomial division, reciprocal).
-* "formula"  - a direct closed evaluation: the alternating sum over integer
-  compositions for Bernoulli, the classical recurrences for the rest.
-* "oracle"   - classical recurrences, used as the independent cross-check.
+  alternating geometric inverse, at every level N for Bernoulli.
+* "series"   - truncated-series arithmetic (monomial division, reciprocal),
+  at every level N for Bernoulli.
+* "formula"  - a direct closed evaluation at level 1: the alternating sum over
+  integer compositions for Bernoulli numbers, the classical recurrences for
+  Euler numbers and both polynomial families.
 
+The Bernoulli recurrence (`bernoulli_recurrence`) is no route of its own: it
+is the independent oracle the acceptance gate checks the routes against.
 Tables of the same kind computed by different routes must agree entrywise;
-that equality is the whole point of the construction and is what the
-acceptance suite pins down.
+that equality is the whole point of the construction.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from fractions import Fraction
 from .numeric import (
     DomainError,
     charge,
-    format_rational,
     fraction_units,
     weight,
 )
@@ -40,6 +42,9 @@ from .groupoid import group_of_order
 from .catalog import dec_fact, exp_species
 
 __all__ = [
+    "ROUTES",
+    "routes",
+    "route_table",
     "NumberTable",
     "PolynomialTable",
     "bernoulli_recurrence",
@@ -63,35 +68,19 @@ __all__ = [
 @dataclass(frozen=True)
 class NumberTable:
     kind: str
-    route: str
     values: tuple[Fraction, ...]
 
     def matches(self, other: "NumberTable") -> bool:
         return self.kind == other.kind and self.values == other.values
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "route": self.route,
-            "values": [format_rational(v) for v in self.values],
-        }
-
 
 @dataclass(frozen=True)
 class PolynomialTable:
     kind: str
-    route: str
     polys: tuple[Polynomial, ...]
 
     def matches(self, other: "PolynomialTable") -> bool:
         return self.kind == other.kind and self.polys == other.polys
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "route": self.route,
-            "polynomials": [p.to_strings() for p in self.polys],
-        }
 
 
 def _kind(base: str, level: int) -> str:
@@ -129,7 +118,7 @@ def bernoulli_recurrence(count: int) -> NumberTable:
         charge(2 * n * fraction_units(n * n.bit_length() // 2), "bernoulli recurrence", n)
         total = sum(math.comb(n + 1, k) * values[k] for k in range(n))
         values.append(Fraction(-total, n + 1))
-    return NumberTable("bernoulli", "oracle", tuple(values))
+    return NumberTable("bernoulli", tuple(values))
 
 
 def bernoulli_formula(count: int) -> NumberTable:
@@ -144,9 +133,11 @@ def bernoulli_formula(count: int) -> NumberTable:
     that produce it, starting from groups[0] = {1: +1}.  Splitting off the
     first part a gives groups[m] from groups[m-a] for a = 1..m, with the key
     multiplied by (a+1)! and the sign flipped.  Every row is reused by all
-    larger sizes, so the table costs a polynomial number of integer
-    multiply-adds.  B_n is n! times the sum of c/d over groups[n], taken
-    over the least common denominator.  Each row is charged before it is built.
+    larger sizes, so no composition is listed; a row holds one key per
+    distinct denominator, a number that grows with the integer partitions of
+    m, not with 2^(m-1).  B_n is n! times the sum of c/d over groups[n],
+    taken over the least common denominator.  Each row is charged before it
+    is built.
     """
     fact = [math.factorial(i + 1) for i in range(count + 2)]
     groups: list[dict[int, int]] = [{1: 1}]
@@ -163,7 +154,7 @@ def bernoulli_formula(count: int) -> NumberTable:
         common = math.lcm(*row)
         total = sum(c * (common // d) for d, c in row.items())
         values.append(Fraction(math.factorial(n) * total, common))
-    return NumberTable("bernoulli", "formula", tuple(values))
+    return NumberTable("bernoulli", tuple(values))
 
 
 def _generalized_inverse_species(f: Species, level: int) -> Species:
@@ -187,14 +178,16 @@ def _generalized_inverse_species(f: Species, level: int) -> Species:
     shifted = Species(
         1, lambda sizes: kept.value((sizes[0] + level,)), "d^%d/dx1^%d(%s)" % (level, level, kept.name)
     )
-    return geom_inverse(shifted.positive_part().replicate(math.factorial(level)))
+    positive = shifted.positive_part()
+    copies = positive.replicate(math.factorial(level))
+    if level > 4:  # past 4! the digits are longer than the name "level!"
+        copies.name = "replicate(%d!,%s)" % (level, positive.name)
+    return geom_inverse(copies)
 
 
 def generalized_bernoulli_species(f: Species, level: int, count: int) -> NumberTable:
     inverse = _generalized_inverse_species(f, level)
-    return NumberTable(
-        _kind("bernoulli", level), "species", _coefficients(egf_of(inverse, count), count)
-    )
+    return NumberTable(_kind("bernoulli", level), _coefficients(egf_of(inverse, count), count))
 
 
 def generalized_bernoulli_series(f: TruncatedEGF, level: int, count: int) -> NumberTable:
@@ -207,9 +200,8 @@ def generalized_bernoulli_series(f: TruncatedEGF, level: int, count: int) -> Num
         raise DomainError(
             "series order %d too small for count %d at level %d" % (f.order, count, level)
         )
-    return NumberTable(
-        _kind("bernoulli", level), "series", _coefficients(_tail(f, level).reciprocal(), count)
-    )
+    inverse = _tail(f, level).reciprocal()
+    return NumberTable(_kind("bernoulli", level), _coefficients(inverse, count))
 
 
 def _tail(f: TruncatedEGF, level: int) -> TruncatedEGF:
@@ -240,25 +232,21 @@ def bernoulli_poly_classical(count: int) -> PolynomialTable:
         for k in range(n + 1):
             coeffs[n - k] = math.comb(n, k) * numbers[k]
         polys.append(Polynomial(coeffs))
-    return PolynomialTable("bernoulli-polynomials", "oracle", tuple(polys))
+    return PolynomialTable("bernoulli-polynomials", tuple(polys))
 
 
 def bernoulli_poly_species(count: int, level: int = 1) -> PolynomialTable:
     """Diagonal substitution of the exponential times the promoted inverse."""
     inverse = _generalized_inverse_species(exp_species(), level)
     two = substitute_xy(exp_species()) * promote(inverse, 2)
-    return PolynomialTable(
-        _kind("bernoulli-polynomials", level), "species", _row_polynomials(two, count)
-    )
+    return PolynomialTable(_kind("bernoulli-polynomials", level), _row_polynomials(two, count))
 
 
 def bernoulli_poly_series(count: int, level: int = 1) -> PolynomialTable:
     norm = _tail(exp_series(2 * count + level), level)
     two = diagonal_series(exp_series(count)).mul(promote_series(norm.reciprocal(), 2))
     return PolynomialTable(
-        _kind("bernoulli-polynomials", level),
-        "series",
-        tuple(two.extract_polynomials()[: count + 1]),
+        _kind("bernoulli-polynomials", level), tuple(two.extract_polynomials()[: count + 1])
     )
 
 
@@ -281,34 +269,78 @@ def euler_poly_recurrence(count: int) -> PolynomialTable:
         for k in range(n):
             acc = acc + polys[k].scale(math.comb(n, k))
         polys.append(Polynomial.monomial(n) - acc.scale(Fraction(1, 2)))
-    return PolynomialTable("euler-polynomials", "oracle", tuple(polys))
+    return PolynomialTable("euler-polynomials", tuple(polys))
 
 
 def euler_recurrence(count: int) -> NumberTable:
     """Euler numbers are the polynomial values at zero."""
     polys = euler_poly_recurrence(count).polys
-    return NumberTable("euler", "oracle", tuple(p(0) for p in polys))
+    return NumberTable("euler", tuple(p(0) for p in polys))
 
 
 def euler_species(count: int) -> NumberTable:
     series = egf_of(_euler_inverse_species(), count)
-    return NumberTable("euler", "species", _coefficients(series, count))
+    return NumberTable("euler", _coefficients(series, count))
 
 
 def euler_series(count: int) -> NumberTable:
     half = (one_series(count) + exp_series(count)).scalar_mul(Fraction(1, 2))
-    return NumberTable("euler", "series", _coefficients(half.reciprocal(), count))
+    return NumberTable("euler", _coefficients(half.reciprocal(), count))
 
 
 def euler_poly_species(count: int) -> PolynomialTable:
     two = substitute_xy(exp_species()) * promote(_euler_inverse_species(), 2)
-    return PolynomialTable("euler-polynomials", "species", _row_polynomials(two, count))
+    return PolynomialTable("euler-polynomials", _row_polynomials(two, count))
 
 
 def euler_poly_series(count: int) -> PolynomialTable:
     order = 2 * count
     half = (one_series(order) + exp_series(order)).scalar_mul(Fraction(1, 2))
     two = diagonal_series(exp_series(count)).mul(promote_series(half.reciprocal(), 2))
-    return PolynomialTable(
-        "euler-polynomials", "series", tuple(two.extract_polynomials()[: count + 1])
-    )
+    return PolynomialTable("euler-polynomials", tuple(two.extract_polynomials()[: count + 1]))
+
+
+# -- The route table -------------------------------------------------------
+
+# kind -> route -> (builder, level).  The builder is named, and looked up in
+# this module when it is called, so that a builder replaced on the module is
+# the one that runs.  A level of None means the builder takes (count, level)
+# for every level N >= 1; otherwise it takes (count) and exists at that
+# level only.
+ROUTES = {
+    "bernoulli": {
+        "species": ("bernoulli_species", None),
+        "series": ("bernoulli_series", None),
+        "formula": ("bernoulli_formula", 1),
+    },
+    "bernoulli-polynomials": {
+        "species": ("bernoulli_poly_species", None),
+        "series": ("bernoulli_poly_series", None),
+        "formula": ("bernoulli_poly_classical", 1),
+    },
+    "euler": {
+        "species": ("euler_species", 1),
+        "series": ("euler_series", 1),
+        "formula": ("euler_recurrence", 1),
+    },
+    "euler-polynomials": {
+        "species": ("euler_poly_species", 1),
+        "series": ("euler_poly_series", 1),
+        "formula": ("euler_poly_recurrence", 1),
+    },
+}
+
+
+def routes(kind: str, level: int) -> list[str]:
+    """The routes of `kind` defined at `level`, in table order."""
+    return [route for route, (_, only) in ROUTES[kind].items() if only in (None, level)]
+
+
+def route_table(kind: str, route: str, count: int, level: int):
+    """Rows 0..count of `kind` at `level`, by one route."""
+    name, only = ROUTES[kind][route]
+    if only is None:
+        return globals()[name](count, level)
+    if level != only:
+        raise DomainError("route %r is defined for N=%d only" % (route, only))
+    return globals()[name](count)

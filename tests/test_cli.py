@@ -11,7 +11,7 @@ import pytest
 
 import qspecies
 from qspecies.cli import main
-from qspecies.numbers import NumberTable
+from qspecies.numbers import ROUTES, NumberTable, routes
 
 
 def run(capsys, *argv):
@@ -131,6 +131,8 @@ def test_card_integer_past_digit_limit(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error[input]:") and "4300 digits" in err
     assert len(err.splitlines()) == 1
+    # advice for programmers, which a user of the command cannot act on
+    assert "set_int_max_str_digits" not in err
 
 
 def test_egf_json_default_order(capsys):
@@ -269,7 +271,11 @@ BUDGET_PROBES = [
     ["euler", "--route", "formula", "--order", "3000"],
     ["verify", "--trials", "100000000"],
     ["verify", "--order", "100"],
+    ["bernoulli", "--N", "30", "--order", "30"],
 ]
+
+# probes whose limit line must name its node briefly
+SHORT_NAMES = {("bernoulli", "--N", "30", "--order", "30"): "replicate(30!,"}
 
 
 def _check_limit_line(err: str) -> None:
@@ -288,6 +294,9 @@ def test_budget_probes(capsys, argv):
     assert time.monotonic() - started < 10  # a loose stall guard
     assert (code, out) == (2, "")
     _check_limit_line(err)
+    name = SHORT_NAMES.get(tuple(argv))
+    if name is not None:
+        assert name in err and len(err.rstrip("\n")) < 200
 
 
 def test_budget_probe_huge_level():
@@ -364,6 +373,30 @@ def test_bernoulli_formula_rejected_above_level_one(capsys):
     assert "N=1" in err
 
 
+# every table command: verb, --poly, level
+TABLE_CASES = [("bernoulli", poly, level) for poly in (False, True) for level in (1, 2, 3)]
+TABLE_CASES += [("euler", poly, 1) for poly in (False, True)]
+
+
+@pytest.mark.parametrize("verb,poly,level", TABLE_CASES)
+def test_route_all_prints_the_table_routes(capsys, verb, poly, level):
+    argv = [verb, "--order", "3"] + (["--poly"] if poly else [])
+    if verb == "bernoulli":
+        argv += ["--N", str(level)]
+    expected = ["species", "series", "formula"] if level == 1 else ["species", "series"]
+    kind = verb + ("-polynomials" if poly else "")
+    assert routes(kind, level) == expected
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert list(json.loads(out)["routes"]) == expected
+    # a route of the table that is missing at this level is a domain error
+    for route in ROUTES[kind]:
+        if route not in expected:
+            code, out, err = run(capsys, *argv, "--route", route)
+            assert (code, out) == (2, "")
+            assert err == "error[domain]: route %r is defined for N=1 only\n" % route
+
+
 def test_bernoulli_poly_json(capsys):
     code, out, _ = run(capsys, "bernoulli", "--poly", "--order", "2", "--route", "series")
     assert code == 0
@@ -423,7 +456,7 @@ def test_euler_outputs_are_deterministic(capsys):
 def test_mismatch_exits_one(capsys, monkeypatch):
     # sabotage one route to confirm disagreement is loud and nonzero
     def fake(count):
-        return NumberTable("bernoulli", "formula", (Fraction(0),) * (count + 1))
+        return NumberTable("bernoulli", (Fraction(0),) * (count + 1))
 
     monkeypatch.setattr("qspecies.numbers.bernoulli_formula", fake)
     code, out, _ = run(capsys, "bernoulli", "--order", "4")
@@ -443,6 +476,12 @@ def test_verify_all(capsys):
         assert line.startswith("law=")
         assert "failed=0" in line
         assert line.endswith("status=PASS")
+
+
+def test_verify_honours_quotient_trials(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "quotient", "--trials", "10")
+    assert code == 0
+    assert out.splitlines()[0] == "law=quotient-cardinality checked=10 failed=0 status=PASS"
 
 
 def test_verify_single_suite_deterministic(capsys):

@@ -2,6 +2,7 @@ import pytest
 
 from qspecies.numeric import DomainError
 from qspecies.verify import (
+    SUITES,
     LawReport,
     factorial_suite,
     inverse_suite,
@@ -30,6 +31,14 @@ def test_all_suites_pass():
     for r in reports:
         assert r.failed == 0
         assert r.checked > 0
+
+
+def test_all_runs_every_suite_in_table_order():
+    # every suite takes (order, seed, trials), positionally
+    args = (5, 2, 5)
+    expected = [report for suite in SUITES.values() for report in suite(*args)]
+    assert run_suites("all", *args) == expected
+    assert run_suites("quotient", *args)[0].checked == 5
 
 
 def test_suites_are_deterministic():
