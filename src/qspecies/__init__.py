@@ -1,8 +1,8 @@
 """Exact rational cardinalities of finite groupoids and combinatorial species.
 
-Every rational a/b is the cardinality of a finite groupoid (b one-object
-components with a automorphisms each give a/b... and a copies of one object
-with b automorphisms do too); signed pairs reach the negatives.  Species turn
+Every positive rational a/b is the cardinality of a finite groupoid: a
+one-object components with b automorphisms each give a/b, as each component
+counts 1/(automorphism order); signed pairs reach the negatives.  Species turn
 those groupoids into exponential generating series with exact coefficients,
 and the alternating geometric inverse produces Bernoulli and Euler tables by
 purely combinatorial means, cross-checked against series arithmetic.
@@ -21,7 +21,6 @@ from .groupoid import (
     GradedGroupoid,
     GroupAction,
     cardinality,
-    cyclic,
     discrete,
     group_of_order,
     increasing_factorial,
@@ -38,7 +37,6 @@ from .species import (
     promote,
     scaled_reciprocal,
     substitute_xy,
-    zero_species,
 )
 from .egf import Polynomial, TruncatedEGF, binomial_series, exp_series
 from .catalog import builtin_names, make
@@ -58,14 +56,12 @@ __all__ = [
     "GroupAction",
     "cardinality",
     "discrete",
-    "cyclic",
     "group_of_order",
     "quotient",
     "power_quotient",
     "increasing_factorial",
     "Species",
     "constant_species",
-    "zero_species",
     "one_species",
     "promote",
     "substitute_xy",

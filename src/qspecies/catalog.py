@@ -31,7 +31,6 @@ __all__ = [
     "subsets_species",
     "inc_fact",
     "dec_fact",
-    "power_group",
     "p_sym",
     "p_cyc",
     "sinh_integral",
@@ -165,10 +164,9 @@ def dec_fact(length: int) -> Species:
     )
 
 
-def power_group(k: int, action: GroupAction) -> Species:
-    """Quotient of k-tuples of labels by a group permuting the coordinates."""
-    if action.degree != k:
-        raise DomainError("PG: action degree %d does not match k=%d" % (action.degree, k))
+def _power_species(name: str, k: int, action: GroupAction) -> Species:
+    """Quotient of k-tuples of labels by a group of degree k permuting the
+    coordinates."""
 
     def rule(sizes):
         n = sizes[0]
@@ -176,25 +174,21 @@ def power_group(k: int, action: GroupAction) -> Species:
             return GRADED_EMPTY
         return GradedGroupoid.positive(power_quotient(n, k, action))
 
-    return Species(1, rule, "PG(%d)" % k)
+    return Species(1, rule, name)
 
 
 def p_sym(k: int) -> Species:
     """k-multisets of labels: n**k/k! as a quotient by the full symmetric group."""
     if k < 1:
         raise DomainError("PSym needs k >= 1")
-    sp = power_group(k, GroupAction.symmetric(k))
-    sp.name = "PSym(%d)" % k
-    return sp
+    return _power_species("PSym(%d)" % k, k, GroupAction.symmetric(k))
 
 
 def p_cyc(k: int) -> Species:
     """k-tuples of labels up to cyclic rotation: n**k/k."""
     if k < 1:
         raise DomainError("PCyc needs k >= 1")
-    sp = power_group(k, GroupAction.cyclic(k))
-    sp.name = "PCyc(%d)" % k
-    return sp
+    return _power_species("PCyc(%d)" % k, k, GroupAction.cyclic(k))
 
 
 def sinh_integral() -> Species:

@@ -109,6 +109,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.order < 0:
+        raise DomainError("--order must be >= 0")
     if args.trials < 0:
         raise DomainError("--trials must be >= 0")
     reports = run_suites(args.suite, order=args.order, seed=args.seed, trials=args.trials)

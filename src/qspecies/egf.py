@@ -19,10 +19,7 @@ from .numeric import DomainError, binom_product, charge, format_rational, fracti
 __all__ = [
     "TruncatedEGF",
     "Polynomial",
-    "DEFAULT_ORDER",
-    "DEFAULT_ORDER_2",
     "size_keys",
-    "zero_series",
     "one_series",
     "x_series",
     "exp_series",
@@ -34,10 +31,6 @@ __all__ = [
     "diagonal_series",
     "promote_series",
 ]
-
-DEFAULT_ORDER = 20
-DEFAULT_ORDER_2 = 12
-
 
 def size_keys(nvars: int, order: int) -> Iterator[tuple[int, ...]]:
     """All exponent tuples of total degree <= order, by degree then lexicographic."""
@@ -318,10 +311,6 @@ class TruncatedEGF:
             head,
             ", ..." if len(self._coeffs) > 4 else "",
         )
-
-
-def zero_series(order: int, nvars: int = 1) -> TruncatedEGF:
-    return TruncatedEGF(nvars, order)
 
 
 def one_series(order: int, nvars: int = 1) -> TruncatedEGF:

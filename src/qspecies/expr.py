@@ -20,7 +20,7 @@ from .numeric import DomainError
 from .catalog import make
 from .species import Species, binomial_power, geom_inverse, scaled_reciprocal
 
-__all__ = ["ExprError", "Name", "IntLit", "Call", "tokenize", "parse", "build", "unparse"]
+__all__ = ["ExprError", "Name", "IntLit", "Call", "tokenize", "parse", "build"]
 
 
 class ExprError(ValueError):
@@ -151,14 +151,6 @@ def parse(text: str) -> Node:
     if isinstance(node, IntLit):
         raise ExprError("an expression cannot be a bare integer", node.position)
     return node
-
-
-def unparse(node: Node) -> str:
-    if isinstance(node, IntLit):
-        return str(node.value)
-    if isinstance(node, Name):
-        return node.name
-    return "%s(%s)" % (node.name, ",".join(unparse(a) for a in node.args))
 
 
 # combinator -> (species arity, integer-prefix arity)

@@ -33,7 +33,6 @@ __all__ = [
     "GRADED_UNIT",
     "cardinality",
     "discrete",
-    "cyclic",
     "group_of_order",
     "quotient",
     "power_quotient",
@@ -49,8 +48,9 @@ class Component(NamedTuple):
     aut_order: int
 
 
-def _normalize(pairs: Iterable[tuple[Sequence[int], int]]) -> tuple[tuple[Component, int], ...]:
-    acc: dict[Component, int] = {}
+def _normalize(pairs: Iterable[tuple[Sequence[int], int]]) -> "FiniteGroupoid":
+    """The groupoid with the given (component, count) pairs, checked."""
+    acc: dict[tuple[int, int], int] = {}
     for comp, count in pairs:
         k, a = comp
         if k < 1 or a < 1:
@@ -58,9 +58,9 @@ def _normalize(pairs: Iterable[tuple[Sequence[int], int]]) -> tuple[tuple[Compon
         if count < 0:
             raise DomainError("negative component multiplicity")
         if count:
-            key = Component(int(k), int(a))
+            key = (int(k), int(a))
             acc[key] = acc.get(key, 0) + int(count)
-    return tuple(sorted(acc.items()))
+    return _trusted(acc)
 
 
 # work units of a product call beyond its pairs of components (its dicts,
@@ -76,9 +76,12 @@ _new_component = tuple.__new__
 def _trusted(acc: dict[tuple[int, int], int]) -> "FiniteGroupoid":
     """The groupoid with the given counts, keyed by (object_count, aut_order).
 
-    For results built inside this module from components that were already
-    validated (products, unions, replicas): _normalize's checks are skipped,
-    zero counts are dropped and the keys are sorted once.
+    Every nonempty groupoid is built here, so its load is priced in one
+    place: the component count weighted by the largest multiplicity, so that
+    two loads multiply to the units of a product.  Catalog rules charge large
+    automorphism orders.  The keys are trusted: _normalize checks outside
+    input first, and products, unions and replicas of valid groupoids need no
+    check.  Zero counts are dropped and the keys are sorted once.
     """
     parts = tuple((_new_component(Component, key), n) for key, n in sorted(acc.items()) if n)
     if not parts:
@@ -101,32 +104,20 @@ def _add_product(acc: dict[tuple[int, int], int], left, right, m: int) -> None:
             acc[key] = acc.get(key, 0) + c * n2
 
 
-def _load(parts) -> int:
-    """Components weighted by the largest multiplicity: two loads multiply to
-    the units of a product.  Catalog rules charge large automorphism orders."""
-    return len(parts) * weight(max(n for _, n in parts).bit_length()) if parts else 0
-
-
 class FiniteGroupoid:
     """Multiset of components; the empty multiset is the empty groupoid."""
 
     __slots__ = ("_parts", "_card", "_load")
 
     def __init__(self, components: Iterable[Sequence[int]] = ()):
-        self._parts = _normalize((c, 1) for c in components)
-        self._card: Fraction | None = None
-        self._load = _load(self._parts)
+        g = _normalize((c, 1) for c in components)
+        self._parts, self._card, self._load = g._parts, g._card, g._load
 
-    @classmethod
+    @staticmethod
     def from_counts(
-        cls, pairs: Mapping[Sequence[int], int] | Iterable[tuple[Sequence[int], int]]
+        pairs: Mapping[Sequence[int], int] | Iterable[tuple[Sequence[int], int]]
     ) -> "FiniteGroupoid":
-        items = pairs.items() if isinstance(pairs, Mapping) else pairs
-        g = cls.__new__(cls)
-        g._parts = _normalize(items)
-        g._card = None
-        g._load = _load(g._parts)
-        return g
+        return _normalize(pairs.items() if isinstance(pairs, Mapping) else pairs)
 
     @property
     def parts(self) -> tuple[tuple[Component, int], ...]:
@@ -199,13 +190,6 @@ class FiniteGroupoid:
             acc[key] = acc.get(key, 0) + count * comp.object_count
         return _trusted(acc)
 
-    def to_json(self) -> dict:
-        """Expanded {"components": [[k, a], ...]} listing."""
-        out = []
-        for comp, count in self._parts:
-            out.extend([comp.object_count, comp.aut_order] for _ in range(count))
-        return {"components": out}
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroupoid) and self._parts == other._parts
 
@@ -221,7 +205,9 @@ class FiniteGroupoid:
         return "FiniteGroupoid<%s>" % bits
 
 
-EMPTY = FiniteGroupoid()
+# built by hand, as _trusted returns it for every empty result
+EMPTY = FiniteGroupoid.__new__(FiniteGroupoid)
+EMPTY._parts, EMPTY._card, EMPTY._load = (), None, 0
 UNIT = FiniteGroupoid([(1, 1)])
 
 
@@ -313,9 +299,6 @@ class GradedGroupoid:
     def replicate(self, m: int) -> "GradedGroupoid":
         return GradedGroupoid(self.pos.replicate(m), self.neg.replicate(m))
 
-    def to_json(self) -> dict:
-        return {"pos": self.pos.to_json(), "neg": self.neg.to_json()}
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GradedGroupoid)
@@ -348,13 +331,6 @@ def discrete(m: int) -> FiniteGroupoid:
     return FiniteGroupoid.from_counts({(1, 1): m} if m else {})
 
 
-def cyclic(n: int) -> FiniteGroupoid:
-    """One object whose automorphism group is cyclic of order n."""
-    if n < 1:
-        raise DomainError("cyclic groupoid needs n >= 1")
-    return FiniteGroupoid([(1, n)])
-
-
 def group_of_order(a: int) -> FiniteGroupoid:
     """One object with a automorphisms; cardinality 1/a."""
     if a < 1:
@@ -362,27 +338,19 @@ def group_of_order(a: int) -> FiniteGroupoid:
     return FiniteGroupoid([(1, a)])
 
 
-def _identity(degree: int) -> tuple[int, ...]:
-    return tuple(range(1, degree + 1))
-
-
-def _closure(
-    degree: int,
-    generators: Sequence[tuple[int, ...]],
-    within: "set[tuple[int, ...]] | None" = None,
-) -> set[tuple[int, ...]]:
+def _closure(degree: int, generators: Sequence[tuple[int, ...]]) -> set[tuple[int, ...]]:
     """The group generated by permutations of 1..degree, by breadth-first closure.
 
     Starting from the identity, every element found is composed on the left
-    with every generator until nothing new appears; for a finite set of
-    permutations that is the generated group.  Raises DomainError as soon as
-    an element falls outside ``within`` (when given).  Each round is charged
-    its compositions times the degree before it runs.
+    with every generator until nothing new appears.  For a finite set of
+    permutations that is the generated group: it is closed under composition,
+    and so holds each element's powers, one of which is its inverse.  Each
+    round is charged its compositions times the degree before it runs.
     """
     # (0,) + g maps each 1-based point to its image, so mapping p through it
     # gives g after p
     lookups = [(0,) + g for g in generators]
-    seen = {_identity(degree)}
+    seen = {tuple(range(1, degree + 1))}
     frontier = list(seen)
     while frontier:
         charge(len(frontier) * len(lookups) * degree, "group closure", degree)
@@ -391,8 +359,6 @@ def _closure(
             for look in lookups:
                 q = tuple(map(look.__getitem__, p))
                 if q not in seen:
-                    if within is not None and q not in within:
-                        raise DomainError("element list is not closed under composition")
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
@@ -400,50 +366,26 @@ def _closure(
 
 
 class GroupAction:
-    """A permutation group acting on {1..degree}.
+    """A permutation group acting on {1..degree}, held as its sorted elements.
 
-    Elements are 1-based image tuples.  Construction validates that the set
-    contains the identity, that its order divides degree!, and that it is
-    closed under composition, through a generating set picked greedily: the
-    sorted elements are walked, each one not yet in the subgroup generated so
-    far becomes a generator, and the closure is recomputed; the set is
-    rejected as soon as a closure leaves it.  Every added generator at least
-    doubles the subgroup, so there are at most log2|G| generators; as the
-    closures grow geometrically, the check costs O(|G| log|G|) compositions
-    instead of the |G|^2 of a pairwise test.  Inverses need no separate
-    check: a finite set of permutations closed under composition contains the
-    powers of each element, and one of them is its inverse.
+    Elements are 1-based image tuples.  The constructor trusts its caller to
+    pass a whole group and checks nothing: from_generators closes its
+    generators, after checking them, and symmetric and cyclic list their
+    groups.
     """
 
     __slots__ = ("degree", "elements")
 
-    def __init__(self, degree: int, elements: Iterable[Sequence[int]]):
-        if degree < 1:
-            raise DomainError("group action needs degree >= 1")
-        elems = sorted({tuple(int(v) for v in p) for p in elements})
-        base = list(range(1, degree + 1))
-        for p in elems:
-            if sorted(p) != base:
-                raise DomainError("element %r is not a permutation of 1..%d" % (p, degree))
-        if not elems:
-            raise DomainError("group action needs at least the identity")
-        eset = set(elems)
-        if _identity(degree) not in eset:
-            raise DomainError("element list lacks the identity permutation")
-        if math.factorial(degree) % len(elems):
-            raise DomainError("group order %d does not divide %d!" % (len(elems), degree))
-        gens: list[tuple[int, ...]] = []
-        group = {_identity(degree)}
-        for p in elems:
-            if p not in group:
-                gens.append(p)
-                group = _closure(degree, gens, within=eset)
+    def __init__(self, degree: int, elements: Iterable[tuple[int, ...]]):
         self.degree = degree
-        self.elements = tuple(elems)
+        self.elements = tuple(sorted(elements))
 
     @classmethod
     def from_generators(cls, degree: int, generators: Iterable[Sequence[int]]) -> "GroupAction":
-        """Close a generator list under composition (breadth-first)."""
+        """The group generated by permutations of 1..degree; no generators
+        give the trivial group."""
+        if degree < 1:
+            raise DomainError("group action needs degree >= 1")
         gens = [tuple(int(v) for v in p) for p in generators]
         base = list(range(1, degree + 1))
         for g in gens:
@@ -465,12 +407,7 @@ class GroupAction:
             raise DomainError("cyclic group needs degree >= 1")
         charge(degree * degree, "cyclic group", degree)
         base = list(range(1, degree + 1))
-        elems = [tuple(base[k:] + base[:k]) for k in range(degree)]
-        return cls(degree, elems)
-
-    @classmethod
-    def trivial(cls, degree: int) -> "GroupAction":
-        return cls(degree, [_identity(degree)])
+        return cls(degree, [tuple(base[k:] + base[:k]) for k in range(degree)])
 
     def __len__(self) -> int:
         return len(self.elements)

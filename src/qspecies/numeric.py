@@ -52,8 +52,11 @@ class EnumerationLimitError(RuntimeError):
 
     def __str__(self) -> str:
         where = self.node if self.size is None else "%s at size %s" % (self.node, self.size)
+        needed = _decimal(self.needed)
+        if len(needed) > 18:  # past any budget: its magnitude is enough
+            needed = "over 10^%d" % (len(needed) - 1)
         return "%s needs %s more work units with %d of the %d-unit budget spent" % (
-            where, _decimal(self.needed), self.spent, WORK_BUDGET
+            where, needed, self.spent, WORK_BUDGET
         )
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "Species",
     "SizeVector",
     "constant_species",
-    "zero_species",
     "one_species",
     "promote",
     "substitute_xy",
@@ -103,9 +102,6 @@ class Species:
         except EnumerationLimitError as err:
             _locate(err, self, sizes)
             raise
-
-    def egf(self, order: int) -> TruncatedEGF:
-        return egf_of(self, order)
 
     # -- combinators ------------------------------------------------------
 
@@ -306,10 +302,6 @@ def constant_species(value: "FiniteGroupoid | GradedGroupoid", sorts: int = 1) -
         lambda sizes: fixed if sizes == zero else GRADED_EMPTY,
         "const",
     )
-
-
-def zero_species(sorts: int = 1) -> Species:
-    return Species(sorts, lambda sizes: GRADED_EMPTY, "zero")
 
 
 def one_species(sorts: int = 1) -> Species:

@@ -12,7 +12,6 @@ from qspecies.catalog import (
     make,
     p_cyc,
     p_sym,
-    power_group,
     sin_integral,
     sinh_integral,
 )
@@ -24,7 +23,6 @@ from qspecies.egf import (
     sin_series,
     sinh_series,
 )
-from qspecies.groupoid import GroupAction
 from qspecies.numeric import DomainError, rising_factorial
 from qspecies.species import egf_of
 
@@ -114,14 +112,6 @@ def test_psym_and_pcyc():
         p_sym(0)
     with pytest.raises(DomainError):
         p_cyc(0)
-
-
-def test_power_group_custom_action():
-    # pairs up to swapping the two coordinates: n^2/2 of them at size n
-    sp = power_group(2, GroupAction.symmetric(2))
-    assert sp.cardinality_at(3) == Fraction(9, 2)
-    with pytest.raises(DomainError):
-        power_group(3, GroupAction.symmetric(2))
 
 
 def test_integral_species_closed_forms():

@@ -272,10 +272,15 @@ BUDGET_PROBES = [
     ["verify", "--trials", "100000000"],
     ["verify", "--order", "100"],
     ["bernoulli", "--N", "30", "--order", "30"],
+    ["egf", "PCyc(500)", "--order", "3"],
 ]
 
-# probes whose limit line must name its node briefly
-SHORT_NAMES = {("bernoulli", "--N", "30", "--order", "30"): "replicate(30!,"}
+# probes whose limit line must be short, with the text that keeps it so:
+# a brief node name, or the magnitude of an enormous charge
+SHORT_NAMES = {
+    ("bernoulli", "--N", "30", "--order", "30"): "replicate(30!,",
+    ("egf", "PCyc(500)", "--order", "3"): "needs over 10^153 more",
+}
 
 
 def _check_limit_line(err: str) -> None:
@@ -499,6 +504,13 @@ def test_verify_rejects_unknown_suite(capsys):
     code, out, err = run(capsys, "verify", "--trials", "-5")
     assert (code, out) == (2, "")
     assert err.startswith("error[domain]: --trials")
+
+
+@pytest.mark.parametrize("suite", ["all", "valuation", "inverse", "quotient", "factorial"])
+def test_verify_rejects_negative_order(capsys, suite):
+    # every suite, including those that ignore or raise --order
+    code, out, err = run(capsys, "verify", "--suite", suite, "--order", "-3")
+    assert (code, out, err) == (2, "", "error[domain]: --order must be >= 0\n")
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):
