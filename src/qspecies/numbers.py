@@ -7,14 +7,16 @@ prints them:
   alternating geometric inverse, at every level N for Bernoulli.
 * "series"   - truncated-series arithmetic (monomial division, reciprocal),
   at every level N for Bernoulli.
-* "formula"  - a direct closed evaluation at level 1: the alternating sum over
-  integer compositions for Bernoulli numbers, the classical recurrences for
-  Euler numbers and both polynomial families.
+* "formula"  - a direct evaluation at level 1, each table from its own sum or
+  recurrence: the alternating sum over integer compositions, grouped by part
+  count, for Bernoulli numbers; the number recurrence for Euler numbers; and
+  for both polynomial families the Appell sum over the recurrence numbers.
 
 The Bernoulli recurrence (`bernoulli_recurrence`) is no route of its own: it
 is the independent oracle the acceptance gate checks the routes against.
 Tables of the same kind computed by different routes must agree entrywise;
-that equality is the whole point of the construction.
+that equality is the whole point of the construction, so no two routes of
+one kind share the code that computes their values.
 """
 
 from __future__ import annotations
@@ -23,22 +25,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numeric import (
-    DomainError,
-    charge,
-    fraction_units,
-    weight,
-)
-from .egf import (
-    Polynomial,
-    TruncatedEGF,
-    diagonal_series,
-    exp_series,
-    one_series,
-    promote_series,
-)
-from .species import Species, egf_of, geom_inverse, promote, substitute_xy, constant_species
-from .groupoid import group_of_order
+from .numeric import DomainError, charge, fraction_units, weight
+from .egf import Polynomial, TruncatedEGF, diagonal_series, exp_series, one_series, promote_series
+from .species import Species, geom_inverse, promote, substitute_xy, constant_species
+from .groupoid import GRADED_UNIT, group_of_order
 from .catalog import dec_fact, exp_species
 
 __all__ = [
@@ -87,21 +77,45 @@ def _kind(base: str, level: int) -> str:
     return base if level == 1 else "%s(N=%d)" % (base, level)
 
 
+def _cardinalities(kind: str, f: Species, count: int) -> NumberTable:
+    """Rows 0..count of a one-sort species' cardinality table, every
+    coefficient charged as one Fraction before any is computed."""
+    charge(fraction_units(0) * (count + 1), f.name, count)
+    return NumberTable(kind, tuple(f.cardinality_at((n,)) for n in range(count + 1)))
+
+
 def _coefficients(series: TruncatedEGF, count: int) -> tuple[Fraction, ...]:
     return tuple(series.coefficient((n,)) for n in range(count + 1))
 
 
-def _row_polynomials(two: Species, count: int) -> tuple[Polynomial, ...]:
-    """Rows 0..count of a two-sort table f(xy) * g(y): row n is the sum of
-    |two(a, n)| x^a / a! over a <= n.
+def _species_rows(kind: str, inverse: Species, count: int) -> PolynomialTable:
+    """Rows 0..count of the two-sort table exp(xy) * inverse(y): row n is the
+    sum of |two(a, n)| x^a / a! over a <= n.
 
     The diagonal factor takes one label of each sort per pair, so two(a, n)
     is empty for a > n and only the triangle a <= n <= count is evaluated.
     """
-    return tuple(
+    two = substitute_xy(exp_species()) * promote(inverse, 2)
+    rows = (
         Polynomial([two.cardinality_at((a, n)) / math.factorial(a) for a in range(n + 1)])
         for n in range(count + 1)
     )
+    return PolynomialTable(kind, tuple(rows))
+
+
+def _series_rows(kind: str, denominator: TruncatedEGF, count: int) -> PolynomialTable:
+    """Rows 0..count of the two-variable series exp(xy) / denominator(y)."""
+    two = diagonal_series(exp_series(count)).mul(promote_series(denominator.reciprocal(), 2))
+    return PolynomialTable(kind, tuple(two.extract_polynomials()[: count + 1]))
+
+
+def _appell_rows(kind: str, numbers: tuple[Fraction, ...], node: str) -> PolynomialTable:
+    """Row n is the Appell sum of binom(n, k) a_k x^(n-k) over k <= n."""
+    polys = []
+    for n in range(len(numbers)):
+        charge(2 * (n + 1) * fraction_units(n * n.bit_length() // 2), node, n)
+        polys.append(Polynomial([math.comb(n, j) * numbers[n - j] for j in range(n + 1)]))
+    return PolynomialTable(kind, tuple(polys))
 
 
 # -- Bernoulli numbers -----------------------------------------------------
@@ -122,38 +136,32 @@ def bernoulli_recurrence(count: int) -> NumberTable:
 
 
 def bernoulli_formula(count: int) -> NumberTable:
-    """Direct alternating sum over integer compositions:
+    """The alternating sum over integer compositions, grouped by part count:
 
-        B_n = sum over compositions (a_1..a_k) of n of
-              (-1)^k n! / ((a_1+1)! ... (a_k+1)!).
+        B_n = sum over compositions (a_1..a_k) of n of (-1)^k n! / prod (a_i+1)!
+            = sum over k of (-1)^k k! S2(n+k, k) n! / (n+k)!,
 
-    The sum is taken by dynamic programming over the remaining size rather
-    than by listing the compositions.  groups[m] maps each denominator
-    (a_1+1)! ... (a_k+1)! to the signed count (-1)^k of compositions of m
-    that produce it, starting from groups[0] = {1: +1}.  Splitting off the
-    first part a gives groups[m] from groups[m-a] for a = 1..m, with the key
-    multiplied by (a+1)! and the sign flipped.  Every row is reused by all
-    larger sizes, so no composition is listed; a row holds one key per
-    distinct denominator, a number that grows with the integer partitions of
-    m, not with 2^(m-1).  B_n is n! times the sum of c/d over groups[n],
-    taken over the least common denominator.  Each row is charged before it
-    is built.
+    where S2(m, k) counts the partitions of an m-set into k blocks of size
+    at least 2: weighted by its multinomial, each composition with k parts
+    counts ordered such partitions of an (n+k)-set.  Row n holds k! S2(n+k, k)
+    for k <= n, and S2(m, k) = k S2(m-1, k) + (m-1) S2(m-2, k-1) builds it from
+    row n-1 alone.  The sum over k is taken over the common denominator
+    (2n)!/n! by Horner's rule.  Every step multiplies by a small integer, so
+    the cost is polynomial in n; each row is charged before it is built.
     """
-    fact = [math.factorial(i + 1) for i in range(count + 2)]
-    groups: list[dict[int, int]] = [{1: 1}]
+    ordered = [1]  # k! S2(n+k, k) for k = 0..n, from n = 0
     values = [Fraction(1)]
     for n in range(1, count + 1):
-        adds = sum(len(groups[m]) for m in range(n))
-        charge(adds * weight(fact[n].bit_length()), "composition formula", n)
-        row: dict[int, int] = {}
-        for first in range(1, n + 1):
-            for denom, c in groups[n - first].items():
-                key = denom * fact[first]
-                row[key] = row.get(key, 0) - c
-        groups.append(row)
-        common = math.lcm(*row)
-        total = sum(c * (common // d) for d, c in row.items())
-        values.append(Fraction(math.factorial(n) * total, common))
+        bits = n * (2 * n).bit_length()  # about the mean entry's size
+        charge(3 * n * weight(bits) + fraction_units(bits), "composition formula", n)
+        ordered.append(0)
+        for k in range(n, 0, -1):
+            ordered[k] = k * (ordered[k] + (n + k - 1) * ordered[k - 1])
+        ordered[0] = 0  # a nonempty set has no partition into 0 blocks
+        total = 0
+        for k in range(1, n + 1):
+            total = total * (n + k) + (-ordered[k] if k % 2 else ordered[k])
+        values.append(Fraction(total, math.perm(2 * n, n)))
     return NumberTable("bernoulli", tuple(values))
 
 
@@ -168,8 +176,6 @@ def _generalized_inverse_species(f: Species, level: int) -> Species:
         raise DomainError("level must be >= 1")
     if f.sorts != 1:
         raise DomainError("generalized table needs a single-sort species")
-    from .groupoid import GRADED_UNIT
-
     if f.value((level,)) != GRADED_UNIT:
         raise DomainError("species must be the unit groupoid at size %d" % level)
     charge(weight(level * level.bit_length()) ** 2, "level factorial", level)
@@ -186,8 +192,7 @@ def _generalized_inverse_species(f: Species, level: int) -> Species:
 
 
 def generalized_bernoulli_species(f: Species, level: int, count: int) -> NumberTable:
-    inverse = _generalized_inverse_species(f, level)
-    return NumberTable(_kind("bernoulli", level), _coefficients(egf_of(inverse, count), count))
+    return _cardinalities(_kind("bernoulli", level), _generalized_inverse_species(f, level), count)
 
 
 def generalized_bernoulli_series(f: TruncatedEGF, level: int, count: int) -> NumberTable:
@@ -223,31 +228,20 @@ def bernoulli_series(count: int, level: int = 1) -> NumberTable:
 
 
 def bernoulli_poly_classical(count: int) -> PolynomialTable:
-    """Oracle: row n is sum of binom(n, k) B_k x^(n-k) with recurrence B_k."""
+    """Oracle: the Appell rows over the recurrence numbers B_k."""
     numbers = bernoulli_recurrence(count).values
-    polys = []
-    for n in range(count + 1):
-        charge(2 * (n + 1) * fraction_units(n * n.bit_length() // 2), "bernoulli polynomial sum", n)
-        coeffs = [Fraction(0)] * (n + 1)
-        for k in range(n + 1):
-            coeffs[n - k] = math.comb(n, k) * numbers[k]
-        polys.append(Polynomial(coeffs))
-    return PolynomialTable("bernoulli-polynomials", tuple(polys))
+    return _appell_rows("bernoulli-polynomials", numbers, "bernoulli polynomial sum")
 
 
 def bernoulli_poly_species(count: int, level: int = 1) -> PolynomialTable:
     """Diagonal substitution of the exponential times the promoted inverse."""
     inverse = _generalized_inverse_species(exp_species(), level)
-    two = substitute_xy(exp_species()) * promote(inverse, 2)
-    return PolynomialTable(_kind("bernoulli-polynomials", level), _row_polynomials(two, count))
+    return _species_rows(_kind("bernoulli-polynomials", level), inverse, count)
 
 
 def bernoulli_poly_series(count: int, level: int = 1) -> PolynomialTable:
     norm = _tail(exp_series(2 * count + level), level)
-    two = diagonal_series(exp_series(count)).mul(promote_series(norm.reciprocal(), 2))
-    return PolynomialTable(
-        _kind("bernoulli-polynomials", level), tuple(two.extract_polynomials()[: count + 1])
-    )
+    return _series_rows(_kind("bernoulli-polynomials", level), norm, count)
 
 
 # -- Euler numbers and polynomials ----------------------------------------
@@ -259,45 +253,46 @@ def _euler_inverse_species() -> Species:
     return geom_inverse(half * exp_species().positive_part())
 
 
-def euler_poly_recurrence(count: int) -> PolynomialTable:
-    """Oracle recurrence: E_n(x) = x^n - (1/2) sum binom(n, k) E_k(x), k < n."""
-    polys = [Polynomial([1])]
-    for n in range(1, count + 1):
-        # n scalings and sums of n coefficients, sized as B_n
-        charge(2 * n * n * fraction_units(n * n.bit_length() // 2), "euler recurrence", n)
-        acc = Polynomial([])
-        for k in range(n):
-            acc = acc + polys[k].scale(math.comb(n, k))
-        polys.append(Polynomial.monomial(n) - acc.scale(Fraction(1, 2)))
-    return PolynomialTable("euler-polynomials", tuple(polys))
+def _euler_half_series(order: int) -> TruncatedEGF:
+    """(1 + e^x) / 2, whose reciprocal is the Euler table."""
+    return (one_series(order) + exp_series(order)).scalar_mul(Fraction(1, 2))
 
 
 def euler_recurrence(count: int) -> NumberTable:
-    """Euler numbers are the polynomial values at zero."""
-    polys = euler_poly_recurrence(count).polys
-    return NumberTable("euler", tuple(p(0) for p in polys))
+    """E_n = -(1/2) sum of binom(n, k) E_k over k < n, for n >= 1.
+
+    This is the polynomial recurrence of `euler_poly_recurrence` at x = 0.
+    """
+    values = [Fraction(1)]
+    for n in range(1, count + 1):
+        # E_n is sized as B_n
+        charge(2 * n * fraction_units(n * n.bit_length() // 2), "euler recurrence", n)
+        total = sum(math.comb(n, k) * values[k] for k in range(n))
+        values.append(Fraction(-total, 2))
+    return NumberTable("euler", tuple(values))
 
 
 def euler_species(count: int) -> NumberTable:
-    series = egf_of(_euler_inverse_species(), count)
-    return NumberTable("euler", _coefficients(series, count))
+    return _cardinalities("euler", _euler_inverse_species(), count)
 
 
 def euler_series(count: int) -> NumberTable:
-    half = (one_series(count) + exp_series(count)).scalar_mul(Fraction(1, 2))
-    return NumberTable("euler", _coefficients(half.reciprocal(), count))
+    return NumberTable("euler", _coefficients(_euler_half_series(count).reciprocal(), count))
+
+
+def euler_poly_recurrence(count: int) -> PolynomialTable:
+    """Oracle: E_n(x) = x^n - (1/2) sum binom(n, k) E_k(x) over k < n, an
+    Appell family, so its rows are the Appell sums over the numbers E_k."""
+    numbers = euler_recurrence(count).values
+    return _appell_rows("euler-polynomials", numbers, "euler polynomial sum")
 
 
 def euler_poly_species(count: int) -> PolynomialTable:
-    two = substitute_xy(exp_species()) * promote(_euler_inverse_species(), 2)
-    return PolynomialTable("euler-polynomials", _row_polynomials(two, count))
+    return _species_rows("euler-polynomials", _euler_inverse_species(), count)
 
 
 def euler_poly_series(count: int) -> PolynomialTable:
-    order = 2 * count
-    half = (one_series(order) + exp_series(order)).scalar_mul(Fraction(1, 2))
-    two = diagonal_series(exp_series(count)).mul(promote_series(half.reciprocal(), 2))
-    return PolynomialTable("euler-polynomials", tuple(two.extract_polynomials()[: count + 1]))
+    return _series_rows("euler-polynomials", _euler_half_series(2 * count), count)
 
 
 # -- The route table -------------------------------------------------------

@@ -273,6 +273,7 @@ BUDGET_PROBES = [
     ["verify", "--order", "100"],
     ["bernoulli", "--N", "30", "--order", "30"],
     ["egf", "PCyc(500)", "--order", "3"],
+    ["bernoulli", "--route", "formula", "--order", "100000"],
 ]
 
 # probes whose limit line must be short, with the text that keeps it so:
@@ -330,6 +331,22 @@ def test_bernoulli_past_old_caps(capsys, order):
     payload = json.loads(out)
     assert payload["verdict"] == "MATCH"
     assert payload["routes"]["formula"][26] == "8553103/6"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the Euler recurrence built every polynomial and tripped at size 61
+        ["euler", "--order", "100"],
+        # the dynamic program over denominators tripped at size 50
+        ["bernoulli", "--route", "formula", "--order", "200"],
+    ],
+    ids=" ".join,
+)
+def test_tables_past_old_caps(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out).get("verdict", "MATCH") == "MATCH"
 
 
 def test_bernoulli_default_json(capsys):

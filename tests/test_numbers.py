@@ -72,7 +72,7 @@ def test_recurrence_b20():
 
 
 def test_formula_matches_recurrence():
-    for count in (14, 25):
+    for count in (14, 25, 60):
         a = bernoulli_formula(count)
         b = bernoulli_recurrence(count)
         assert a.matches(b)

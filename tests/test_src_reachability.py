@@ -29,6 +29,7 @@ ALLOWED = {
     "sin_series": "imported by the acceptance gate",
     "binomial_series": "imported by the acceptance gate",
     "Polynomial.shift": "imported by the acceptance gate",
+    "Polynomial.monomial": "imported by the acceptance gate",
     "FiniteGroupoid.inertia": "imported by the acceptance gate",
     "multinomial": "imported by the acceptance gate",
     "product_labeled": "imported by the acceptance gate",
