@@ -16,7 +16,6 @@ from .numeric import (
     multinomial,
 )
 from .groupoid import (
-    Component,
     FiniteGroupoid,
     GradedGroupoid,
     GroupAction,
@@ -50,7 +49,6 @@ __all__ = [
     "format_rational",
     "multinomial",
     "enumerate_set_partitions",
-    "Component",
     "FiniteGroupoid",
     "GradedGroupoid",
     "GroupAction",

@@ -9,6 +9,7 @@ two-variable tables.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
@@ -189,12 +190,13 @@ class TruncatedEGF:
             bits = max(bits, _bits(self._coeffs.get(key, inv0)))
             units = 2 * (math.prod(k + 1 for k in key) - 1) * fraction_units(bits + out_bits + sum(key))
             charge(units, "series reciprocal", sum(key))
+            # visit only the terms below the row, which its charge counts
             total = Fraction(0)
-            for k, c in self._coeffs.items():
-                if k == zero or any(a > b for a, b in zip(k, key)):
+            for k in itertools.product(*(range(b + 1) for b in key)):
+                c = self._coeffs.get(k)
+                if not c or k == zero:
                     continue
-                rest = tuple(b - a for a, b in zip(k, key))
-                r = out.get(rest)
+                r = out.get(tuple(b - a for a, b in zip(k, key)))
                 if r:
                     total += binom_product(key, k) * c * r
             if total:
@@ -266,7 +268,7 @@ class TruncatedEGF:
                 )
             a = key[i - 1] - power
             shifted = key[: i - 1] + (a,) + key[i:]
-            out[shifted] = c * Fraction(math.factorial(a), math.factorial(a + power))
+            out[shifted] = c / math.perm(a + power, power)
         return TruncatedEGF(self.nvars, self.order - power, out)
 
     def extract_polynomials(self) -> "list[Polynomial]":
@@ -370,12 +372,19 @@ def diagonal_series(f: TruncatedEGF) -> TruncatedEGF:
     """f(x*y) as a two-variable series: c_(n,n) = f_n * n!, zero off the diagonal.
 
     Exact to total degree 2 * f.order since every off-diagonal entry vanishes.
+    n! is kept as a running product, and each term is charged before it is
+    built.
     """
     if f.nvars != 1:
         raise DomainError("diagonal substitution needs a one-variable series")
     out = {}
-    for (n,), c in f._coeffs.items():
-        out[(n, n)] = c * math.factorial(n)
+    fact = 1
+    for n in range(f.order + 1):
+        charge(fraction_units(n * n.bit_length()), "diagonal series", n)
+        fact *= n or 1
+        c = f._coeffs.get((n,))
+        if c:
+            out[(n, n)] = c * fact
     return TruncatedEGF(2, 2 * f.order, out)
 
 

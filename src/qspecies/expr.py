@@ -153,19 +153,21 @@ def parse(text: str) -> Node:
     return node
 
 
-# combinator -> (species arity, integer-prefix arity)
+# combinator -> (integer parameters, species arguments, constructor); the
+# constructor takes the integers, then the species.  compose takes one outer
+# species plus one inner species per outer sort, so its count is None.
 _COMBINATORS = {
-    "sum": (2, 0),
-    "prod": (2, 0),
-    "had": (2, 0),
-    "d/dx1": (1, 0),
-    "d/dx2": (1, 0),
-    "compose": (None, 0),  # one outer plus one inner per outer sort
-    "geominv": (1, 0),
-    "pospart": (1, 0),
-    "negate": (1, 0),
-    "scaledrecip": (1, 2),
-    "binpow": (0, 2),
+    "sum": (0, 2, Species.__add__),
+    "prod": (0, 2, Species.__mul__),
+    "had": (0, 2, Species.hadamard),
+    "d/dx1": (0, 1, lambda f: f.derivative(1)),
+    "d/dx2": (0, 1, lambda f: f.derivative(2)),
+    "compose": (0, None, Species.compose),
+    "geominv": (0, 1, geom_inverse),
+    "pospart": (0, 1, Species.positive_part),
+    "negate": (0, 1, Species.__neg__),
+    "scaledrecip": (2, 1, scaled_reciprocal),
+    "binpow": (2, 0, binomial_power),
 }
 
 
@@ -198,40 +200,17 @@ def build(node: Node) -> Species:
 
 
 def _build_combinator(name: str, args: tuple, position: int) -> Species:
-    sp_arity, int_arity = _COMBINATORS[name]
+    int_arity, sp_arity, construct = _COMBINATORS[name]
     ints = [_int_value(a) for a in args[:int_arity]]
     if len(args) < int_arity:
         raise ExprError("%s expects %d integer parameter(s)" % (name, int_arity), position)
     rest = args[int_arity:]
-    if sp_arity is not None and len(rest) != sp_arity:
+    if sp_arity is None:
+        if len(rest) < 2:
+            raise ExprError("%s expects an outer and at least one inner species" % name, position)
+    elif len(rest) != sp_arity:
         raise ExprError(
             "%s expects %d species argument(s), got %d" % (name, sp_arity, len(rest)),
             position,
         )
-    if name == "sum":
-        return _build_species(rest[0]) + _build_species(rest[1])
-    if name == "prod":
-        return _build_species(rest[0]) * _build_species(rest[1])
-    if name == "had":
-        return _build_species(rest[0]).hadamard(_build_species(rest[1]))
-    if name == "d/dx1":
-        return _build_species(rest[0]).derivative(1)
-    if name == "d/dx2":
-        return _build_species(rest[0]).derivative(2)
-    if name == "compose":
-        if len(rest) < 2:
-            raise ExprError("compose expects an outer and at least one inner species", position)
-        outer = _build_species(rest[0])
-        inner = [_build_species(a) for a in rest[1:]]
-        return outer.compose(*inner)
-    if name == "geominv":
-        return geom_inverse(_build_species(rest[0]))
-    if name == "pospart":
-        return _build_species(rest[0]).positive_part()
-    if name == "negate":
-        return -_build_species(rest[0])
-    if name == "scaledrecip":
-        return scaled_reciprocal(ints[0], ints[1], _build_species(rest[0]))
-    if name == "binpow":
-        return binomial_power(ints[0], ints[1])
-    raise ExprError("unknown combinator %r" % name, position)
+    return construct(*ints, *[_build_species(a) for a in rest])

@@ -18,12 +18,11 @@ import itertools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .numeric import DomainError, charge, fraction_units, weight
 
 __all__ = [
-    "Component",
     "FiniteGroupoid",
     "GradedGroupoid",
     "GroupAction",
@@ -40,13 +39,6 @@ __all__ = [
     "finite_from_json",
     "groupoid_from_json",
 ]
-
-class Component(NamedTuple):
-    """One connected component: object count and automorphism order."""
-
-    object_count: int
-    aut_order: int
-
 
 def _normalize(pairs: Iterable[tuple[Sequence[int], int]]) -> "FiniteGroupoid":
     """The groupoid with the given (component, count) pairs, checked."""
@@ -69,10 +61,6 @@ def _normalize(pairs: Iterable[tuple[Sequence[int], int]]) -> "FiniteGroupoid":
 _CALL_UNITS = 16
 _CARD_UNITS = fraction_units(0)
 
-# makes a Component from a valid pair without NamedTuple's Python-level __new__
-_new_component = tuple.__new__
-
-
 def _trusted(acc: dict[tuple[int, int], int]) -> "FiniteGroupoid":
     """The groupoid with the given counts, keyed by (object_count, aut_order).
 
@@ -81,9 +69,10 @@ def _trusted(acc: dict[tuple[int, int], int]) -> "FiniteGroupoid":
     two loads multiply to the units of a product.  Catalog rules charge large
     automorphism orders.  The keys are trusted: _normalize checks outside
     input first, and products, unions and replicas of valid groupoids need no
-    check.  Zero counts are dropped and the keys are sorted once.
+    check.  Zero counts are dropped (sum_of_products accepts m = 0) and the
+    items are sorted once, as plain ((object_count, aut_order), count) pairs.
     """
-    parts = tuple((_new_component(Component, key), n) for key, n in sorted(acc.items()) if n)
+    parts = tuple(sorted(item for item in acc.items() if item[1]))
     if not parts:
         return EMPTY
     g = FiniteGroupoid.__new__(FiniteGroupoid)
@@ -114,13 +103,11 @@ class FiniteGroupoid:
         self._parts, self._card, self._load = g._parts, g._card, g._load
 
     @staticmethod
-    def from_counts(
-        pairs: Mapping[Sequence[int], int] | Iterable[tuple[Sequence[int], int]]
-    ) -> "FiniteGroupoid":
-        return _normalize(pairs.items() if isinstance(pairs, Mapping) else pairs)
+    def from_counts(counts: Mapping[Sequence[int], int]) -> "FiniteGroupoid":
+        return _normalize(counts.items())
 
     @property
-    def parts(self) -> tuple[tuple[Component, int], ...]:
+    def parts(self) -> tuple[tuple[tuple[int, int], int], ...]:
         """Sorted ((object_count, aut_order), multiplicity) pairs."""
         return self._parts
 
@@ -158,7 +145,7 @@ class FiniteGroupoid:
             return EMPTY
         if len(nonempty) == 1:
             return nonempty[0]
-        acc: dict[Component, int] = {}
+        acc: dict[tuple[int, int], int] = {}
         for g in nonempty:
             for comp, count in g._parts:
                 acc[comp] = acc.get(comp, 0) + count
@@ -185,9 +172,9 @@ class FiniteGroupoid:
     def inertia(self) -> "FiniteGroupoid":
         """Split every component (k, a) into k copies of (1, a)."""
         acc: dict[tuple[int, int], int] = {}
-        for comp, count in self._parts:
-            key = (1, comp.aut_order)
-            acc[key] = acc.get(key, 0) + count * comp.object_count
+        for (k, a), count in self._parts:
+            key = (1, a)
+            acc[key] = acc.get(key, 0) + count * k
         return _trusted(acc)
 
     def __eq__(self, other) -> bool:
@@ -199,9 +186,7 @@ class FiniteGroupoid:
     def __repr__(self) -> str:
         if not self._parts:
             return "FiniteGroupoid()"
-        bits = ", ".join(
-            "(%d,%d)x%d" % (c.object_count, c.aut_order, n) for c, n in self._parts
-        )
+        bits = ", ".join("(%d,%d)x%d" % (k, a, n) for (k, a), n in self._parts)
         return "FiniteGroupoid<%s>" % bits
 
 

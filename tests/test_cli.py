@@ -274,6 +274,11 @@ BUDGET_PROBES = [
     ["bernoulli", "--N", "30", "--order", "30"],
     ["egf", "PCyc(500)", "--order", "3"],
     ["bernoulli", "--route", "formula", "--order", "100000"],
+    # the series reciprocal scanned every coefficient for each row, and the
+    # diagonal substitution built every n! before any charge
+    ["bernoulli", "--route", "series", "--order", "20000"],
+    ["bernoulli", "--poly", "--route", "series", "--order", "5000"],
+    ["euler", "--poly", "--route", "series", "--order", "10000"],
 ]
 
 # probes whose limit line must be short, with the text that keeps it so:

@@ -1,8 +1,11 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qspecies.expr import Call, ExprError, IntLit, Name, build, parse, tokenize
+from qspecies.catalog import builtin_names
+from qspecies.expr import _COMBINATORS, Call, ExprError, IntLit, Name, build, parse, tokenize
 from qspecies.species import Species
 
 
@@ -118,3 +121,16 @@ def test_error_is_value_error():
     # callers may catch the broad class
     with pytest.raises(ValueError):
         parse("sum(")
+
+
+def test_grammar_doc_lists_every_combinator_and_builtin():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "species-grammar.ebnf").read_text()
+    combinators, builtins = doc.split("(* Builtin species")
+
+    def listed(section):
+        # the names in the left column of each "(*   entry   description *)" line
+        entries = re.findall(r"^\(\*   (\S.*?)\s{2,}", section, re.MULTILINE)
+        return {name for e in entries for name in re.findall(r"d/dx[12]|\w+", e)}
+
+    assert set(_COMBINATORS) <= listed(combinators)
+    assert set(builtin_names()) <= listed(builtins)

@@ -72,8 +72,8 @@ def test_every_positive_rational_is_reached():
 
 def _naive_cardinality(g):
     total = Fraction(0)
-    for comp, count in g.parts:
-        total += Fraction(count, comp.aut_order)
+    for (_, a), count in g.parts:
+        total += Fraction(count, a)
     return total
 
 
@@ -165,6 +165,18 @@ def test_graded_sign_rule():
     assert (n * n).cardinality() == 9
     assert (n * n).pos == discrete(9)
     assert (n * n).neg.is_empty
+
+
+def test_product_multiplies_object_counts_and_orders():
+    # cardinality reads only automorphism orders, so the object counts of a
+    # product, k1 * k2, are pinned here
+    g = FiniteGroupoid.from_counts({(2, 3): 1, (1, 1): 2})
+    h = FiniteGroupoid.from_counts({(3, 5): 2})
+    assert (g * h).parts == (((3, 5), 4), ((6, 15), 2))
+    x = GradedGroupoid(FiniteGroupoid([(2, 3)]), FiniteGroupoid([(3, 5)]))
+    square = x * x
+    assert square.pos.parts == (((4, 9), 1), ((9, 25), 1))
+    assert square.neg.parts == (((6, 15), 2),)
 
 
 def test_sum_of_products_matches_replicated_products():
